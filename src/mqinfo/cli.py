@@ -96,9 +96,9 @@ def _frac_hint(x):
 def _build_report(psi, tol):
     n = psi.num_qubits
     table = all_infos_fast(psi)
-    taus_single = {k: tau_linear_entropy(psi, (k,)) for k in range(1, n + 1)} if n >= 2 else {}
+    taus_single = {k: tau_linear_entropy(psi, (k,), table) for k in range(1, n + 1)} if n >= 2 else {}
     taus_pair = (
-        {p: tau_linear_entropy(psi, p) for p in itertools.combinations(range(1, n + 1), 2)}
+        {p: tau_linear_entropy(psi, p, table) for p in itertools.combinations(range(1, n + 1), 2)}
         if n >= 4
         else {}
     )
@@ -180,19 +180,27 @@ def cmd_report(args):
 # fuzz
 # ---------------------------------------------------------------------------
 
+def _pure_requirement(name, n):
+    """The qubit count identity ``name`` needs, or None when n qualifies."""
+    if name in ("eq12", "eq26") and n != 4:
+        return "--n 4"
+    if name == "eq20" and n < 4:
+        return "--n >= 4"
+    if name == "eq14" and n < 2:
+        return "--n >= 2"
+    return None
+
+
 def cmd_fuzz(args):
     names = list(PURE_IDENTITIES) if args.identity == "all" else [args.identity]
     summaries = []
     failed = False
     for name in names:
-        if name in ("eq12", "eq26") and args.n != 4:
+        need = _pure_requirement(name, args.n)
+        if need is not None:
             if args.identity == "all":
                 continue
-            raise ValueError(f"{name} requires --n 4")
-        if name == "eq20" and args.n < 4:
-            if args.identity == "all":
-                continue
-            raise ValueError("eq20 requires --n >= 4")
+            raise ValueError(f"{name} requires {need}")
         summary = fuzz_pure_identity(name, args.n, args.trials, args.seed, args.tol)
         summaries.append(summary)
         if not summary["passed"]:
@@ -239,6 +247,8 @@ def _mixed_names_for(m):
         names.append("eq25")
     if m <= 5:
         names.append("eq23")
+    if not names:
+        raise ValueError(f"no mixed-state identity applies to m={m}")
     return names
 
 
@@ -283,6 +293,7 @@ def cmd_mixed_check(args):
         return 1 if failed else 0
 
     rho = _resolve_mixed(args.rho)
+    _mixed_names_for(rho.num_qubits)  # rejects a size no identity covers
     reports = []
     if rho.num_qubits == 2:
         reports.append(residual_mixed_pair(rho, min(args.tol, 1e-10)))

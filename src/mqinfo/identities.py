@@ -15,7 +15,13 @@ Conventions resolved here (fixed by the explicit small-n instances):
 import itertools
 from dataclasses import dataclass, field
 
-from .measures import all_infos_fast, all_infos_mixed, n_tangle
+from .measures import (
+    all_infos_fast,
+    all_infos_mixed,
+    n_tangle,
+    subset_index,
+    tau_linear_entropy,
+)
 from .reduction import partial_trace, purity, tilde_overlap
 from .statekit import random_mixed, random_pure
 
@@ -58,12 +64,6 @@ def _inequality(name, lhs, rhs, tol, context):
     return IdentityReport(name, lhs, rhs, lhs - rhs, tol, margin >= -tol, ctx)
 
 
-def _tau_from_table_purity(psi, subset):
-    from .reduction import subset_purity
-
-    return 2.0 * (1.0 - subset_purity(psi, subset))
-
-
 # ---------------------------------------------------------------------------
 # pure-state identities
 # ---------------------------------------------------------------------------
@@ -86,8 +86,10 @@ def residual_single_partition(psi, k, table=None, tol=EQ_TOL):
         raise ValueError(f"qubit {k} outside 1..{n}")
     table = table if table is not None else all_infos_fast(psi)
     coeff = 2.0 ** (n - 2) + 1.0
-    lhs = coeff * _tau_from_table_purity(psi, (k,))
-    rhs = sum(v for s, v in table.entries.items() if k in s and len(s) >= 2)
+    lhs = coeff * tau_linear_entropy(psi, (k,), table)
+    masks, sizes = subset_index(n)
+    contains_k = (masks & (1 << (k - 1))) != 0
+    rhs = float(table.values[contains_k & (sizes >= 2)].sum())
     return _equality(
         "single-partition", lhs, rhs, tol, {"n": n, "k": k}
     )
@@ -103,13 +105,12 @@ def residual_pair_partition(psi, pair, table=None, tol=EQ_TOL):
         raise ValueError(f"bad pair {pair} for n={n}")
     table = table if table is not None else all_infos_fast(psi)
     coeff = 2.0 * (2.0 ** (n - 4) + 1.0)
-    lhs = coeff * _tau_from_table_purity(psi, pair)
-    pset = set(pair)
-    rhs = sum(
-        v
-        for s, v in table.entries.items()
-        if len(s) >= 2 and (set(s) & pset) and (set(s) - pset)
-    )
+    lhs = coeff * tau_linear_entropy(psi, pair, table)
+    masks, _ = subset_index(n)
+    inside = masks & ((1 << (pair[0] - 1)) | (1 << (pair[1] - 1)))
+    # meets the pair and leaves it; such a subset has |S| >= 2
+    crossing = (inside != 0) & (inside != masks)
+    rhs = float(table.values[crossing].sum())
     return _equality(
         "pair-partition", lhs, rhs, tol, {"n": n, "pair": list(pair)}
     )
@@ -120,7 +121,8 @@ def residual_tangle_relation_4q(psi, table=None, tol=EQ_TOL):
     if psi.num_qubits != 4:
         raise ValueError("defined for exactly 4 qubits")
     table = table if table is not None else all_infos_fast(psi)
-    pair_sum = sum(v for s, v in table.entries.items() if len(s) == 2)
+    _, sizes = subset_index(4)
+    pair_sum = float(table.values[sizes == 2].sum())
     single_sum = table.local_total()
     tangle = n_tangle(psi)
     return _equality(
@@ -137,9 +139,9 @@ def residual_combination_4q(psi, table=None, tol=EQ_TOL):
     if psi.num_qubits != 4:
         raise ValueError("defined for exactly 4 qubits")
     table = table if table is not None else all_infos_fast(psi)
-    single_taus = sum(_tau_from_table_purity(psi, (k,)) for k in range(1, 5))
+    single_taus = sum(tau_linear_entropy(psi, (k,), table) for k in range(1, 5))
     pair_taus = sum(
-        _tau_from_table_purity(psi, p) for p in ((1, 2), (1, 3), (1, 4))
+        tau_linear_entropy(psi, p, table) for p in ((1, 2), (1, 3), (1, 4))
     )
     lhs = 5.0 * single_taus - 4.0 * pair_taus
     rhs = table.get((1, 2, 3, 4))
@@ -230,11 +232,18 @@ def _all_reports_pure(name, psi, tol):
 
 PURE_IDENTITIES = ("eq1b", "eq14", "eq20", "eq12", "eq26")
 MIXED_IDENTITIES = ("eq23", "eq24", "eq25")
+MAX_TRIALS = 1_000_003
 
 
 def derive_seed(base_seed, trial):
-    """Per-trial seed; deterministic and collision-free for trial < 10^6."""
-    return base_seed * 1_000_003 + trial
+    """Per-trial seed; deterministic and collision-free for 0 <= trial < MAX_TRIALS."""
+    return base_seed * MAX_TRIALS + trial
+
+
+def _check_trials(trials):
+    # more trials than MAX_TRIALS would reuse the next base seed's states
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
 
 
 def fuzz_pure_identity(name, n, trials, base_seed, tol=EQ_TOL):
@@ -245,6 +254,7 @@ def fuzz_pure_identity(name, n, trials, base_seed, tol=EQ_TOL):
     """
     if name in ("eq12", "eq26") and n != 4:
         raise ValueError(f"{name} requires n = 4")
+    _check_trials(trials)
     worst = None
     max_residual = -1.0
     failures = 0
@@ -287,6 +297,7 @@ def fuzz_mixed_identity(name, m, rank, trials, base_seed, tol=EQ_TOL):
 
     ``rank`` of None cycles through every rank 1..2^m across trials.
     """
+    _check_trials(trials)
     worst = None
     worst_score = None
     max_residual = 0.0

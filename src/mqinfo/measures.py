@@ -1,23 +1,30 @@
 """Scalar measures: single-qubit and subset information values, their totals,
 linear entropies, the even-n tangle, and two-qubit squared concurrence.
 
-Subset encoding: a subset of qubits {i1 < i2 < ...} is stored as a sorted
-tuple of 1-based indices.  Internally the fast path walks bitmasks where bit
-(i-1) stands for qubit i.
+Subset encoding: a subset of qubits is a bitmask where bit (i-1) stands for
+qubit i.  Tables are float64 arrays of length 2^n indexed by that mask; the
+sorted tuple of 1-based indices is the I/O form.
 
 Two routes exist for the information values:
   * the direct route sums squared Pauli-string expectations (3^|S| strings
     per subset) -- this is the defining formula and serves as the oracle;
-  * the fast route derives every subset value from subset purities by
-    inclusion-exclusion over sub-subsets, one partial trace per subset.
+  * the fast route takes one subset purity per complementary pair of
+    subsets (tr rho_S^2 = tr rho_{S^c}^2 for a pure state), with only the
+    floor(n/2)-qubit reduced matrices formed from the amplitudes and the
+    smaller ones traced down from them, and recovers every exact-support
+    sum with an in-place fast Moebius transform: n axis-wise subtractions
+    over the 2^n purity array, O(n 2^n) work.
 """
 
 from dataclasses import dataclass, field
+from functools import cache, cached_property
+from itertools import combinations
+from types import MappingProxyType
 
 import numpy as np
 
 from .pauli import expectation_mixed, expectation_pure, strings_on_support
-from .reduction import subset_purity
+from .reduction import pure_subset_purities, subset_purity
 from ._kernels import apply_pure as _apply_kernel
 
 
@@ -32,42 +39,85 @@ def _subset_to_mask(subset):
     return mask
 
 
-@dataclass
+def _readonly(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+@cache
+def subset_index(n):
+    """(masks, sizes) over all 2^n subset masks of n qubits.
+
+    ``masks`` is ``arange(2^n)`` and ``sizes`` the popcount of each mask, so
+    "contains qubit k" or "has at least two qubits" are one vectorised bit
+    test.  Built once per n and read-only.
+    """
+    masks = np.arange(1 << n)
+    return _readonly(masks), _readonly(np.bitwise_count(masks))
+
+
+@cache
+def _io_order(n):
+    """Non-empty subsets in ascending (size, indices) order: (tuples, masks)."""
+    qubits = range(1, n + 1)
+    subsets = tuple(s for k in qubits for s in combinations(qubits, k))
+    return subsets, _readonly(np.array([_subset_to_mask(s) for s in subsets]))
+
+
+@dataclass(eq=False)
 class InfoTable:
-    """Information value for every non-empty qubit subset."""
+    """Information value I_S for every non-empty subset S of the qubits.
+
+    ``values`` is a float64 array of length 2^n indexed by subset mask (bit
+    i-1 set for each qubit i in S); ``values[0]``, the empty set, is 0.
+    ``purities`` holds tr(rho_S^2) on the same index, ``purities[0]`` = 1,
+    when the table was built from subset purities (the fast route), and is
+    None otherwise.  Both arrays are made read-only.  ``entries`` is a
+    read-only mapping from sorted 1-based index tuples to I_S, in ascending
+    (size, indices) order.
+    """
 
     num_qubits: int
-    entries: dict = field(default_factory=dict)
+    values: np.ndarray = field(repr=False)
+    purities: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        _readonly(self.values)
+        if self.purities is not None:
+            _readonly(self.purities)
+
+    @cached_property
+    def entries(self):
+        subsets, masks = _io_order(self.num_qubits)
+        return MappingProxyType(dict(zip(subsets, self.values[masks].tolist())))
 
     def get(self, subset):
         return self.entries[tuple(sorted(subset))]
 
     def subsets(self):
         """Subsets in ascending (size, indices) order."""
-        return sorted(self.entries, key=lambda s: (len(s), s))
+        return list(self.entries)
 
     def local_total(self):
-        return sum(v for s, v in self.entries.items() if len(s) == 1)
+        _, sizes = subset_index(self.num_qubits)
+        return float(self.values[sizes == 1].sum())
 
     def nonlocal_total(self):
-        return sum(v for s, v in self.entries.items() if len(s) >= 2)
+        _, sizes = subset_index(self.num_qubits)
+        return float(self.values[sizes >= 2].sum())
 
     def total(self):
-        return sum(self.entries.values())
+        return float(self.values[1:].sum())
 
     def to_json_obj(self):
         return {
             "n": self.num_qubits,
-            "entries": [
-                {"subset": list(s), "I": self.entries[s]} for s in self.subsets()
-            ],
+            "entries": [{"subset": list(s), "I": v} for s, v in self.entries.items()],
         }
 
     def to_csv_rows(self):
         """Rows (subset, size, I) with subset rendered as e.g. '1-2-3'."""
-        return [
-            ("-".join(map(str, s)), len(s), self.entries[s]) for s in self.subsets()
-        ]
+        return [("-".join(map(str, s)), len(s), v) for s, v in self.entries.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -99,47 +149,44 @@ def info_subset(psi, subset):
 def all_infos_enumerated(psi):
     """Complete InfoTable via the direct route (oracle; use for n <= 6)."""
     n = psi.num_qubits
-    table = InfoTable(n)
+    values = np.zeros(2**n)
     for mask in range(1, 2**n):
         subset = _mask_to_subset(mask)
         if len(subset) == 1:
-            table.entries[subset] = info_single(psi, subset[0])
+            values[mask] = info_single(psi, subset[0])
         else:
-            table.entries[subset] = info_subset(psi, subset)
-    return table
+            values[mask] = info_subset(psi, subset)
+    return InfoTable(n, values)
 
 
 # ---------------------------------------------------------------------------
-# fast route: subset purities + inclusion-exclusion
+# fast route: subset purities + fast Moebius inversion
 # ---------------------------------------------------------------------------
 
 def all_infos_fast(psi):
     """Complete InfoTable from subset purities.
 
-    For each subset S let G(S) = 2^|S| tr(rho_S^2).  The Bloch decomposition
-    of rho_S gives G(S) = sum over all Pauli strings supported *within* S of
-    the squared expectation, so the exact-support sums F_S follow by
-    subtracting all proper-subset contributions (F of the empty set is 1).
+    For each subset S let G(S) = 2^|S| tr(rho_S^2), with G of the empty set
+    equal to 1.  The Bloch decomposition of rho_S gives G(S) = sum of F(T)
+    over T within S, F(T) being the sum of squared expectations of the
+    Pauli strings supported exactly on T.  F is recovered by Moebius
+    inversion, one in-place subtraction per qubit axis of G reshaped to
+    (2,)*n.  The purities come from ``pure_subset_purities``: one per
+    complementary pair, taken on the side with |S| <= n/2, and the full
+    set's from the amplitudes, so a normalisation error shows in the
+    complementarity sum.
     """
     n = psi.num_qubits
-    f = np.empty(2**n)
-    f[0] = 1.0
-    masks = sorted(range(1, 2**n), key=lambda m: (m.bit_count(), m))
-    for mask in masks:
-        size = mask.bit_count()
-        g = (2.0**size) * subset_purity(psi, _mask_to_subset(mask))
-        acc = f[0]
-        sub = (mask - 1) & mask
-        while sub:
-            acc += f[sub]
-            sub = (sub - 1) & mask
-        f[mask] = g - acc
-    table = InfoTable(n)
-    for mask in masks:
-        subset = _mask_to_subset(mask)
-        val = f[mask] if len(subset) == 1 else f[mask] - 1.0
-        table.entries[subset] = float(val)
-    return table
+    purities = pure_subset_purities(psi)
+    _, sizes = subset_index(n)
+    f = np.ldexp(purities, sizes)
+    cube = f.reshape((2,) * n)
+    for axis in range(n):
+        lead = (slice(None),) * axis
+        cube[lead + (1,)] -= cube[lead + (0,)]
+    f[sizes >= 2] -= 1.0
+    f[0] = 0.0
+    return InfoTable(n, f, purities)
 
 
 def all_infos_mixed(rho):
@@ -150,14 +197,14 @@ def all_infos_mixed(rho):
     inequality for mixed states.
     """
     m = rho.num_qubits
-    table = InfoTable(m)
+    values = np.zeros(2**m)
     for mask in range(1, 2**m):
         subset = _mask_to_subset(mask)
         f = sum(
             expectation_mixed(rho, p) ** 2 for p in strings_on_support(m, subset)
         )
-        table.entries[subset] = f if len(subset) == 1 else f - 1.0
-    return table
+        values[mask] = f if len(subset) == 1 else f - 1.0
+    return InfoTable(m, values)
 
 
 def local_info(psi):
@@ -175,14 +222,24 @@ def nonlocal_info(psi):
 # linear entropies and tangles
 # ---------------------------------------------------------------------------
 
-def tau_linear_entropy(psi, subset):
-    """2(1 - tr(rho_S^2)) for a proper non-empty subset S."""
+def tau_linear_entropy(psi, subset, table=None):
+    """2(1 - tr(rho_S^2)) for a proper non-empty subset S.
+
+    Given a ``table`` of ``psi`` that carries subset purities (the fast
+    route's), the purity is read from it instead of recomputed.
+    """
     subset = tuple(sorted(set(subset)))
     if not subset:
         raise ValueError("empty subset")
     if len(subset) >= psi.num_qubits:
         raise ValueError("subset must be a proper subset of the qubits")
-    return 2.0 * (1.0 - subset_purity(psi, subset))
+    if subset[0] < 1 or subset[-1] > psi.num_qubits:
+        raise ValueError(f"subset {subset} outside qubit range 1..{psi.num_qubits}")
+    if table is not None and table.purities is not None:
+        pur = float(table.purities[_subset_to_mask(subset)])
+    else:
+        pur = subset_purity(psi, subset)
+    return 2.0 * (1.0 - pur)
 
 
 def n_tangle(psi):

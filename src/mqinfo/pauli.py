@@ -69,7 +69,8 @@ def expectation_pure(psi, p):
     """<psi|P|psi>, guaranteed real in [-1, 1] for Hermitian Pauli strings."""
     _check_dims(psi.num_qubits, p)
     raw = (1j**p.num_y) * _kernels.expect_pure(psi.amplitudes, p.x_mask, p.z_mask)
-    assert abs(raw.imag) < IMAG_TOL, f"non-real Pauli expectation: {raw!r}"
+    if not abs(raw.imag) < IMAG_TOL:
+        raise ArithmeticError(f"non-real Pauli expectation: {raw!r}")
     return float(raw.real)
 
 
@@ -77,7 +78,8 @@ def expectation_mixed(rho, p):
     """tr(rho P), real within tolerance."""
     _check_dims(rho.num_qubits, p)
     raw = (1j**p.num_y) * _kernels.expect_mixed(rho.matrix, p.x_mask, p.z_mask)
-    assert abs(raw.imag) < IMAG_TOL, f"non-real Pauli expectation: {raw!r}"
+    if not abs(raw.imag) < IMAG_TOL:
+        raise ArithmeticError(f"non-real Pauli expectation: {raw!r}")
     return float(raw.real)
 
 

@@ -2,8 +2,11 @@
 
 Reduced matrices keep qubits in ascending original index.  The pure-state
 partial trace contracts amplitudes directly (never forms the full density
-matrix), which is what makes the n=10 fast path cheap.
+matrix), and the all-subset purity pass derives small reduced matrices from
+larger ones, which is what makes the fast path cheap.
 """
+
+from itertools import combinations
 
 import numpy as np
 
@@ -71,6 +74,48 @@ def subset_purity(psi, keep):
     return float(np.sum(np.abs(gram) ** 2))
 
 
+def pure_subset_purities(psi):
+    """tr(rho_S^2) for every qubit subset S of a pure state, indexed by mask.
+
+    Bit (i-1) of the index stands for qubit i; entry 0, the empty set, is 1.
+    Only the |S| = floor(n/2) subsets (those holding qubit 1 when n is even)
+    take a Schmidt-block gram of the amplitudes.  Every smaller subset's
+    reduced matrix is its parent's partial trace over one qubit, the parent
+    being S plus the lowest qubit S lacks; a depth-first walk reaches each
+    subset once and keeps one chain of matrices alive.  A larger subset takes
+    its complement's purity (equal for a pure state), except the full set,
+    whose tr(rho^2) = <psi|psi>^2 comes from the amplitudes so a
+    normalisation error stays visible.
+    """
+    n = psi.num_qubits
+    full = (1 << n) - 1
+    purities = np.empty(1 << n)
+    purities[0] = 1.0
+    purities[full] = float(np.vdot(psi.amplitudes, psi.amplitudes).real) ** 2
+
+    def descend(subset, mask, rho):
+        purities[mask] = purities[full ^ mask] = np.vdot(rho, rho).real
+        k = len(subset)
+        if k == 1:
+            return
+        # the children drop a qubit q while qubits 1..q all lie in S
+        for pos, q in enumerate(subset):
+            if q != pos + 1:
+                break
+            lo, hi = 2**pos, 2 ** (k - pos - 1)
+            t = rho.reshape(lo, 2, hi, lo, 2, hi)
+            child = (t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :]).reshape(lo * hi, -1)
+            descend(subset[:pos] + subset[pos + 1 :], mask & ~(1 << pos), child)
+
+    half = n // 2
+    for top in combinations(range(1, n + 1), half) if half else ():
+        if 2 * half == n and top[0] != 1:
+            continue
+        block = _pure_block(psi, top)
+        descend(top, sum(1 << (q - 1) for q in top), block @ block.conj().T)
+    return purities
+
+
 def _flip_conjugate(mat, m):
     dim = 2**m
     idx = np.arange(dim)
@@ -89,5 +134,6 @@ def tilde_overlap(rho):
     """tr(rho rho~) with rho~ the spin-flipped matrix; real, in [0, 1]."""
     tilde = _flip_conjugate(rho.matrix, rho.num_qubits)
     val = np.trace(rho.matrix @ tilde)
-    assert abs(val.imag) < IMAG_TOL, f"non-real tilde overlap: {val!r}"
+    if not abs(val.imag) < IMAG_TOL:
+        raise ArithmeticError(f"non-real tilde overlap: {val!r}")
     return float(val.real)

@@ -94,6 +94,24 @@ class TestFuzz:
         assert main(["fuzz", "--n", "3", "--trials", "1",
                      "--identity", "eq20"]) == 2
 
+    def test_all_on_one_qubit_runs_complementarity_only(self, capsys):
+        assert main(["fuzz", "--n", "1", "--trials", "3", "--format", "json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert [s["identity"] for s in obj] == ["eq1b"]
+        assert obj[0]["passed"] is True
+
+    def test_eq14_needs_two_qubits(self, capsys):
+        assert main(["fuzz", "--n", "1", "--trials", "1",
+                     "--identity", "eq14"]) == 2
+        assert "eq14 requires --n >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["0", "-3", "1000004"])
+    def test_bad_trial_count_exit_2(self, trials, capsys):
+        assert main(["fuzz", "--n", "3", "--trials", trials]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trials must be between 1 and 1000003")
+        assert err.count("\n") == 1
+
 
 class TestMixedCheck:
     def test_random_pairs(self, capsys):
@@ -121,6 +139,24 @@ class TestMixedCheck:
                      "--format", "json"]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert {r["identity"] for r in obj} == {"mixed-pair", "mixed-total-info"}
+
+    @pytest.mark.parametrize("trials", ["0", "1000004"])
+    def test_bad_trial_count_exit_2(self, trials, capsys):
+        assert main(["mixed-check", "--random", "--m", "2", "--trials", trials]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trials must be between 1 and 1000003")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("m", ["6", "7"])
+    def test_random_without_identity_exit_2(self, m, capsys):
+        assert main(["mixed-check", "--random", "--m", m, "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: no mixed-state identity applies to m={m}\n"
+
+    def test_rho_without_identity_exit_2(self, capsys):
+        assert main(["mixed-check", "--rho", "maximally-mixed:6"]) == 2
+        assert "no mixed-state identity applies to m=6" in capsys.readouterr().err
 
     def test_needs_source(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mqinfo as mq
-from mqinfo.identities import derive_seed
+from mqinfo.identities import MAX_TRIALS, derive_seed
 
 
 def bell_pair_tensor():
@@ -72,6 +72,34 @@ class TestPairPartition:
             and set(s) & {1, 2} and set(s) - {1, 2}
         )
         assert rep.rhs == pytest.approx(crossing_sum)
+
+    def test_mask_sums_match_subset_scans(self):
+        # the mask reductions against the tuple-scan definitions they replace
+        from itertools import combinations
+
+        n = 6
+        psi = mq.random_pure(n, 66)
+        table = mq.all_infos_fast(psi)
+        for k in range(1, n + 1):
+            scan = sum(v for s, v in table.entries.items() if k in s and len(s) >= 2)
+            rhs = mq.residual_single_partition(psi, k, table).rhs
+            assert rhs == pytest.approx(scan, abs=1e-12)
+        for pair in combinations(range(1, n + 1), 2):
+            pset = set(pair)
+            scan = sum(
+                v
+                for s, v in table.entries.items()
+                if len(s) >= 2 and (set(s) & pset) and (set(s) - pset)
+            )
+            rhs = mq.residual_pair_partition(psi, pair, table).rhs
+            assert rhs == pytest.approx(scan, abs=1e-12)
+
+    def test_oracle_table_falls_back_to_recomputed_taus(self):
+        psi = mq.random_pure(4, 68)
+        fast = mq.residual_pair_partition(psi, (1, 3))
+        oracle = mq.residual_pair_partition(psi, (1, 3), mq.all_infos_enumerated(psi))
+        assert oracle.lhs == pytest.approx(fast.lhs, abs=1e-12)
+        assert abs(oracle.residual) <= 1e-9
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_random_all_pairs(self, n):
@@ -259,3 +287,13 @@ class TestFuzzDriver:
     def test_eq12_requires_n4(self):
         with pytest.raises(ValueError, match="n = 4"):
             mq.fuzz_pure_identity("eq12", 3, 5, 0)
+
+    @pytest.mark.parametrize("trials", [0, -1, MAX_TRIALS + 1])
+    def test_trial_count_out_of_range(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            mq.fuzz_pure_identity("eq1b", 3, trials, 0)
+        with pytest.raises(ValueError, match="trials"):
+            mq.fuzz_mixed_identity("eq24", 2, None, trials, 0)
+
+    def test_seeds_distinct_up_to_max_trials(self):
+        assert derive_seed(0, MAX_TRIALS - 1) < derive_seed(1, 0)

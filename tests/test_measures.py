@@ -1,7 +1,10 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 import mqinfo as mq
+from mqinfo.reduction import subset_purity
 
 
 def random_su2(rng):
@@ -80,13 +83,29 @@ class TestAllInfosFast:
         table = mq.all_infos_fast(mq.random_pure(4, 0))
         assert len(table.entries) == 15
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_enumeration_oracle(self, n):
         psi = mq.random_pure(n, 100 + n)
         fast = mq.all_infos_fast(psi)
         slow = mq.all_infos_enumerated(psi)
         for s in fast.entries:
             assert fast.entries[s] == pytest.approx(slow.entries[s], abs=1e-9)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_stored_purities_match_subset_purity(self, n):
+        # odd n, and even n with its |S| = n/2 tie between a subset and its complement
+        psi = mq.random_pure(n, 120 + n)
+        purities = mq.all_infos_fast(psi).purities
+        assert purities.shape == (2**n,)
+        assert purities[0] == 1.0
+        for mask in range(1, 2**n):
+            subset = tuple(q for q in range(1, n + 1) if mask >> (q - 1) & 1)
+            assert purities[mask] == pytest.approx(subset_purity(psi, subset), abs=1e-12)
+
+    def test_oracle_tables_carry_no_purities(self):
+        psi = mq.random_pure(3, 7)
+        assert mq.all_infos_enumerated(psi).purities is None
+        assert mq.all_infos_mixed(mq.density_of(psi)).purities is None
 
 
 class TestTotals:
@@ -126,6 +145,16 @@ class TestTauLinearEntropy:
     def test_full_subset_rejected(self, bell):
         with pytest.raises(ValueError, match="proper"):
             mq.tau_linear_entropy(bell, (1, 2))
+
+    def test_reads_table_purities(self):
+        psi = mq.random_pure(5, 67)
+        table = mq.all_infos_fast(psi)
+        for subset in [(1,), (5,), (2, 4), (1, 3, 5)]:
+            assert mq.tau_linear_entropy(psi, subset, table) == pytest.approx(
+                mq.tau_linear_entropy(psi, subset), abs=1e-12
+            )
+        with pytest.raises(ValueError, match="outside"):
+            mq.tau_linear_entropy(psi, (6,), table)
 
     def test_one_minus_info(self):
         psi = mq.random_pure(4, 17)
@@ -236,3 +265,23 @@ class TestInfoTableExport:
         rows = mq.all_infos_fast(bell).to_csv_rows()
         assert rows[0][:2] == ("1", 1)
         assert rows[-1][:2] == ("1-2", 2)
+
+    @pytest.mark.parametrize("build", [mq.all_infos_fast, mq.all_infos_enumerated])
+    def test_size_then_indices_order(self, build):
+        n = 4
+        table = build(mq.random_pure(n, 9))
+        want = [s for k in range(1, n + 1) for s in combinations(range(1, n + 1), k)]
+        assert want == sorted(want, key=lambda s: (len(s), s))
+        assert list(table.entries) == want
+        assert table.subsets() == want
+        obj = table.to_json_obj()
+        assert [tuple(e["subset"]) for e in obj["entries"]] == want
+        assert [e["I"] for e in obj["entries"]] == [table.get(s) for s in want]
+        assert [row[0] for row in table.to_csv_rows()] == ["-".join(map(str, s)) for s in want]
+
+    def test_entries_read_only(self, ghz3):
+        table = mq.all_infos_fast(ghz3)
+        with pytest.raises(TypeError):
+            table.entries[(1,)] = 5.0
+        with pytest.raises(ValueError):
+            table.values[1] = 5.0

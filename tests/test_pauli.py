@@ -87,6 +87,12 @@ class TestExpectationPure:
             assert got == pytest.approx(dense.real, abs=1e-12)
             assert -1 - 1e-12 <= got <= 1 + 1e-12
 
+    def test_non_real_raises(self, monkeypatch):
+        # a real exception, so running under python -O keeps the check
+        monkeypatch.setattr(_kernels, "expect_pure", lambda *args: 1j)
+        with pytest.raises(ArithmeticError, match="non-real"):
+            mq.expectation_pure(mq.make_named("ghz", 2), PauliString(2, "ZZ"))
+
 
 class TestExpectationMixed:
     def test_maximally_mixed_z(self):
@@ -108,6 +114,12 @@ class TestExpectationMixed:
             assert mq.expectation_mixed(rho, p) == pytest.approx(
                 mq.expectation_pure(psi, p), abs=1e-10
             )
+
+    def test_non_real_raises(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "expect_mixed", lambda *args: 1j)
+        rho = mq.MixedState(1, np.eye(2, dtype=complex) / 2)
+        with pytest.raises(ArithmeticError, match="non-real"):
+            mq.expectation_mixed(rho, PauliString(1, "Z"))
 
 
 class TestApplyPure:

@@ -125,3 +125,10 @@ class TestTildeOverlap:
         for seed in range(5):
             val = mq.tilde_overlap(mq.random_mixed(2, rank, seed))
             assert -1e-10 <= val <= 1 + 1e-10
+
+    def test_non_real_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            mq.reduction, "_flip_conjugate", lambda mat, m: 1j * np.eye(2**m)
+        )
+        with pytest.raises(ArithmeticError, match="non-real"):
+            mq.tilde_overlap(mq.MixedState(2, np.eye(4, dtype=complex) / 4))
