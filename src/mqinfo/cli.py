@@ -4,8 +4,7 @@ Subcommands:
   report       full information/identity report for one pure state
   fuzz         run an identity checker over seeded Haar-random states
   mixed-check  evaluate the mixed-state relations on random or given matrices
-  bench        time the fast route against the enumeration oracle (and the
-               numba kernels against the numpy fallback when available)
+  bench        time the fast route against the enumeration oracle
 
 Exit codes: 0 all checks pass, 1 a tolerance failure, 2 input/usage error.
 """
@@ -13,13 +12,13 @@ Exit codes: 0 all checks pass, 1 a tolerance failure, 2 input/usage error.
 import argparse
 import itertools
 import json
+import os
 import sys
 import time
 from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels
 from .identities import (
     EQ_TOL,
     MIXED_IDENTITIES,
@@ -78,6 +77,24 @@ def _resolve_mixed(spec):
         m = int(count)
         return MixedState(m, np.eye(2**m, dtype=np.complex128) / 2**m)
     raise ValueError(f"bad density spec {spec!r}; want maximally-mixed:m or file:path")
+
+
+def _save_witness(summary, out, several):
+    """Write the summary's worst state and record its path in the summary.
+
+    When ``several`` identities share ``out``, each writes its own file,
+    with the identity name before the suffix (w.json -> w_eq14.json).
+    """
+    name = summary["identity"]
+    if out is None:
+        path = f"witness_{name}_seed{summary['worst_seed']}.json"
+    elif several:
+        root, ext = os.path.splitext(out)
+        path = f"{root}_{name}{ext}"
+    else:
+        path = out
+    save_state(summary["worst_state"], path)
+    summary["witness_path"] = path
 
 
 def _frac_hint(x):
@@ -205,9 +222,7 @@ def cmd_fuzz(args):
         summaries.append(summary)
         if not summary["passed"]:
             failed = True
-            witness = args.out or f"witness_{name}_seed{summary['worst_seed']}.json"
-            save_state(summary["worst_state"], witness)
-            summary["witness_path"] = witness
+            _save_witness(summary, args.out, args.identity == "all")
     if args.format == "json":
         obj = [
             {
@@ -256,15 +271,14 @@ def cmd_mixed_check(args):
     if args.random:
         failed = False
         rows = []
-        for name in _mixed_names_for(args.m):
+        names = _mixed_names_for(args.m)
+        for name in names:
             summary = fuzz_mixed_identity(
                 name, args.m, args.rank, args.trials, args.seed, args.tol
             )
             if not summary["passed"]:
                 failed = True
-                witness = args.out or f"witness_{name}_seed{summary['worst_seed']}.json"
-                save_state(summary["worst_state"], witness)
-                summary["witness_path"] = summary.get("witness_path", witness)
+                _save_witness(summary, args.out, len(names) > 1)
             rows.append(summary)
         if args.format == "json":
             obj = [
@@ -278,6 +292,7 @@ def cmd_mixed_check(args):
                     "worst_seed": s["worst_seed"],
                     "failures": s["failures"],
                     "passed": s["passed"],
+                    **({"witness_path": s["witness_path"]} if "witness_path" in s else {}),
                 }
                 for s in rows
             ]
@@ -290,13 +305,15 @@ def cmd_mixed_check(args):
                     f"[{status}] {s['identity']:<6} m={s['m']} trials={s['trials']} "
                     f"max|residual|={s['max_residual']:.3e}{margin} worst seed={s['worst_seed']}"
                 )
+                if "witness_path" in s:
+                    print(f"       witness state written to {s['witness_path']}")
         return 1 if failed else 0
 
     rho = _resolve_mixed(args.rho)
     _mixed_names_for(rho.num_qubits)  # rejects a size no identity covers
     reports = []
     if rho.num_qubits == 2:
-        reports.append(residual_mixed_pair(rho, min(args.tol, 1e-10)))
+        reports.append(residual_mixed_pair(rho, args.tol))
     if rho.num_qubits == 3:
         reports.append(residual_mixed_triple(rho, args.tol))
     if rho.num_qubits <= 5:
@@ -339,27 +356,6 @@ def cmd_bench(args):
             code = 1
     else:
         lines.append("enumeration route skipped (n > 6)")
-    if _kernels.HAVE_NUMBA:
-        # kernel backend comparison on a batch of full-support expectations
-        from .pauli import expectation_pure, strings_on_support
-
-        strings = strings_on_support(args.n, tuple(range(1, args.n + 1)))[:243]
-        amps = psi.amplitudes
-        _kernels.expect_pure_numba(amps, strings[0].x_mask, strings[0].z_mask)  # warm up
-        t0 = time.perf_counter()
-        for p in strings:
-            _kernels.expect_pure_numba(amps, p.x_mask, p.z_mask)
-        t_nb = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        for p in strings:
-            _kernels.expect_pure_numpy(amps, p.x_mask, p.z_mask)
-        t_np = time.perf_counter() - t0
-        lines.append(
-            f"kernel backends ({len(strings)} expectations): "
-            f"numba {t_nb * 1e3:.2f} ms, numpy {t_np * 1e3:.2f} ms"
-        )
-    else:
-        lines.append(f"kernel backend: {_kernels.BACKEND} only")
     print("\n".join(lines))
     return code
 

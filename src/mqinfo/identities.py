@@ -27,6 +27,7 @@ from .statekit import random_mixed, random_pure
 
 EQ_TOL = 1e-9
 INEQ_TOL = 1e-9
+MIXED_PAIR_TOL = 1e-10  # the two-qubit spin-flip equality is gated tighter
 
 
 @dataclass
@@ -152,10 +153,11 @@ def residual_combination_4q(psi, table=None, tol=EQ_TOL):
 # mixed-state identities
 # ---------------------------------------------------------------------------
 
-def residual_mixed_pair(rho, tol=1e-10):
+def residual_mixed_pair(rho, tol=MIXED_PAIR_TOL):
     """tr(rho_1^2) + tr(rho_2^2) - tr(rho_12^2) = 1 - tr(rho_12 rho~_12).
 
-    The report carries the corollary margin 1 - lhs >= 0 in its context;
+    The equality is gated at min(tol, MIXED_PAIR_TOL), the report's
+    ``tolerance``.  The context carries the corollary margin 1 - lhs >= 0;
     ``passed`` requires both the equality and the corollary.
     """
     if rho.num_qubits != 2:
@@ -165,7 +167,7 @@ def residual_mixed_pair(rho, tol=1e-10):
     p12 = purity(rho)
     lhs = p1 + p2 - p12
     rhs = 1.0 - tilde_overlap(rho)
-    rep = _equality("mixed-pair", lhs, rhs, tol, {"m": 2})
+    rep = _equality("mixed-pair", lhs, rhs, min(tol, MIXED_PAIR_TOL), {"m": 2})
     margin = 1.0 - lhs
     rep.context["margin"] = margin
     rep.passed = rep.passed and margin >= -1e-12
@@ -295,7 +297,8 @@ def _mixed_reports(name, rho, tol):
 def fuzz_mixed_identity(name, m, rank, trials, base_seed, tol=EQ_TOL):
     """Run one mixed-state identity over seeded random density matrices.
 
-    ``rank`` of None cycles through every rank 1..2^m across trials.
+    ``rank`` of None cycles through every rank 1..2^m across trials.  The
+    summary's ``tolerance`` is the gate the checker applied.
     """
     _check_trials(trials)
     worst = None
@@ -325,7 +328,7 @@ def fuzz_mixed_identity(name, m, rank, trials, base_seed, tol=EQ_TOL):
         "m": m,
         "rank": rank,
         "trials": trials,
-        "tolerance": tol,
+        "tolerance": rep.tolerance,
         "max_residual": max_residual,
         "min_margin": min_margin,
         "worst_seed": seed,

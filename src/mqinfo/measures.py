@@ -6,8 +6,11 @@ qubit i.  Tables are float64 arrays of length 2^n indexed by that mask; the
 sorted tuple of 1-based indices is the I/O form.
 
 Two routes exist for the information values:
-  * the direct route sums squared Pauli-string expectations (3^|S| strings
-    per subset) -- this is the defining formula and serves as the oracle;
+  * the direct route evaluates the defining formula, a sum of squared
+    Pauli-string expectations per exact support: one tensorized spectrum
+    of |psi><psi| (or rho) gives all 4^n expectations, and one bincount
+    over their support masks gives every exact-support sum.  It serves as
+    the oracle and never touches the purity route;
   * the fast route takes one subset purity per complementary pair of
     subsets (tr rho_S^2 = tr rho_{S^c}^2 for a pure state), with only the
     floor(n/2)-qubit reduced matrices formed from the amplitudes and the
@@ -23,13 +26,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .pauli import expectation_mixed, expectation_pure, strings_on_support
+from .pauli import expectation_pure, pauli_spectrum, strings_on_support
 from .reduction import pure_subset_purities, subset_purity
-from ._kernels import apply_pure as _apply_kernel
-
-
-def _mask_to_subset(mask):
-    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+from .statekit import MAX_MIXED_QUBITS
 
 
 def _subset_to_mask(subset):
@@ -54,6 +53,18 @@ def subset_index(n):
     """
     masks = np.arange(1 << n)
     return _readonly(masks), _readonly(np.bitwise_count(masks))
+
+
+@cache
+def _support_masks(n):
+    """Subset mask of each Pauli string's support, in ``pauli_spectrum`` order.
+
+    Bit q-1 is set when qubit q carries a letter other than I.  Built once
+    per n and read-only.
+    """
+    digits = np.arange(4**n)
+    bits = ((((digits >> 2 * (n - q)) & 3) != 0) << (q - 1) for q in range(1, n + 1))
+    return _readonly(sum(bits))
 
 
 @cache
@@ -146,17 +157,30 @@ def info_subset(psi, subset):
     return f - 1.0
 
 
+def _table_from_spectrum(matrix, n):
+    """InfoTable of a state given as its 2^n x 2^n matrix, by the direct route.
+
+    Squares the Pauli spectrum, sums it per exact support with one bincount,
+    and subtracts 1 from every subset of two or more qubits.
+    """
+    spectrum = pauli_spectrum(matrix, n)
+    f = np.bincount(_support_masks(n), weights=spectrum**2, minlength=1 << n)
+    _, sizes = subset_index(n)
+    f[sizes >= 2] -= 1.0
+    f[0] = 0.0
+    return InfoTable(n, f)
+
+
 def all_infos_enumerated(psi):
-    """Complete InfoTable via the direct route (oracle; use for n <= 6)."""
-    n = psi.num_qubits
-    values = np.zeros(2**n)
-    for mask in range(1, 2**n):
-        subset = _mask_to_subset(mask)
-        if len(subset) == 1:
-            values[mask] = info_single(psi, subset[0])
-        else:
-            values[mask] = info_subset(psi, subset)
-    return InfoTable(n, values)
+    """Complete InfoTable via the direct route (the oracle).
+
+    It forms the 2^n x 2^n matrix |psi><psi|, so like a density matrix it is
+    limited to n <= MAX_MIXED_QUBITS.
+    """
+    if psi.num_qubits > MAX_MIXED_QUBITS:
+        raise ValueError(f"enumeration oracle limited to n <= {MAX_MIXED_QUBITS}")
+    amps = psi.amplitudes
+    return _table_from_spectrum(np.outer(amps, amps.conj()), psi.num_qubits)
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +220,7 @@ def all_infos_mixed(rho):
     expectations; this is the declared extension backing the total-information
     inequality for mixed states.
     """
-    m = rho.num_qubits
-    values = np.zeros(2**m)
-    for mask in range(1, 2**m):
-        subset = _mask_to_subset(mask)
-        f = sum(
-            expectation_mixed(rho, p) ** 2 for p in strings_on_support(m, subset)
-        )
-        values[mask] = f if len(subset) == 1 else f - 1.0
-    return InfoTable(m, values)
+    return _table_from_spectrum(rho.matrix, rho.num_qubits)
 
 
 def local_info(psi):
@@ -247,10 +263,10 @@ def n_tangle(psi):
     n = psi.num_qubits
     if n % 2 != 0:
         raise ValueError(f"n-tangle requires an even qubit count, got {n}")
-    full = (1 << n) - 1
-    flipped = _apply_kernel(np.conj(psi.amplitudes), full, full, 1j**n)
-    val = np.vdot(psi.amplitudes, flipped)
-    return float(abs(val) ** 2)
+    # sigma_y^n |b> = i^n (-1)^popcount(b) |~b>, and ~b reverses the index
+    a = psi.amplitudes
+    _, sizes = subset_index(n)
+    return float(abs(np.sum((1.0 - 2.0 * (sizes & 1)) * a * a[::-1])) ** 2)
 
 
 def concurrence_sq_2q(psi):

@@ -1,10 +1,14 @@
-"""Pauli strings: representation, expectation values, and support enumeration.
+"""Pauli strings: representation, expectation values, support enumeration, and
+the Pauli spectrum of a matrix.
 
 Text notation: "XIYZ" means X on qubit 1, I on qubit 2, Y on qubit 3, Z on
 qubit 4.  Internally a string is a pair of bit masks over the amplitude index
 (qubit i sits at bit n-i, matching statekit's MSB-first convention):
 x_mask marks bit flips (X and Y), z_mask marks (-1)^bit signs (Z and Y).
 Y phase convention: sigma_y|0> = i|1>, sigma_y|1> = -i|0>.
+
+``expectation_pure``/``expectation_mixed`` take one string at a time (the
+per-string reference); ``pauli_spectrum`` gives all 4^m values at once.
 """
 
 from dataclasses import dataclass, field
@@ -12,11 +16,11 @@ from itertools import product
 
 import numpy as np
 
-from . import _kernels
-from .statekit import MixedState, PureState
-
 LETTERS = "IXYZ"
 IMAG_TOL = 1e-10
+
+# tr(M P) for P in I, X, Y, Z (rows) from the entries M00, M01, M10, M11
+_PAULI_MAP = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
 
 
 @dataclass(frozen=True)
@@ -65,28 +69,67 @@ def _check_dims(state_qubits, p):
         )
 
 
+def _real(raw):
+    """Real part of Pauli expectations; raises if an imaginary part reaches IMAG_TOL."""
+    worst = np.max(np.abs(np.imag(raw)))
+    if not worst < IMAG_TOL:
+        raise ArithmeticError(f"non-real Pauli expectation: imaginary part {worst!r}")
+    return np.real(raw)
+
+
+def _flip_and_signs(p):
+    """(b ^ x_mask, (-1)^popcount(b & z_mask)) over every basis index b."""
+    idx = np.arange(1 << p.num_qubits)
+    return idx ^ p.x_mask, 1.0 - 2.0 * (np.bitwise_count(idx & p.z_mask) & 1)
+
+
+def _expect_pure(amps, p):
+    flip, signs = _flip_and_signs(p)
+    return (1j**p.num_y) * np.vdot(amps[flip], signs * amps)
+
+
+def _expect_mixed(matrix, p):
+    flip, signs = _flip_and_signs(p)
+    return (1j**p.num_y) * np.sum(matrix[np.arange(flip.size), flip] * signs)
+
+
 def expectation_pure(psi, p):
     """<psi|P|psi>, guaranteed real in [-1, 1] for Hermitian Pauli strings."""
     _check_dims(psi.num_qubits, p)
-    raw = (1j**p.num_y) * _kernels.expect_pure(psi.amplitudes, p.x_mask, p.z_mask)
-    if not abs(raw.imag) < IMAG_TOL:
-        raise ArithmeticError(f"non-real Pauli expectation: {raw!r}")
-    return float(raw.real)
+    return float(_real(_expect_pure(psi.amplitudes, p)))
 
 
 def expectation_mixed(rho, p):
     """tr(rho P), real within tolerance."""
     _check_dims(rho.num_qubits, p)
-    raw = (1j**p.num_y) * _kernels.expect_mixed(rho.matrix, p.x_mask, p.z_mask)
-    if not abs(raw.imag) < IMAG_TOL:
-        raise ArithmeticError(f"non-real Pauli expectation: {raw!r}")
-    return float(raw.real)
+    return float(_real(_expect_mixed(rho.matrix, p)))
 
 
 def apply_pure(p, psi):
     """P|psi> as a raw complex vector (unit norm, possibly a phase off |psi>)."""
     _check_dims(psi.num_qubits, p)
-    return _kernels.apply_pure(psi.amplitudes, p.x_mask, p.z_mask, 1j**p.num_y)
+    flip, signs = _flip_and_signs(p)
+    out = np.empty_like(psi.amplitudes)
+    out[flip] = (1j**p.num_y) * signs * psi.amplitudes
+    return out
+
+
+def pauli_spectrum(matrix, m):
+    """tr(M P) for all 4^m Pauli strings P of a Hermitian 2^m x 2^m matrix M.
+
+    Entry k belongs to the string whose letter on qubit q is LETTERS[d_q],
+    d_1 d_2 ... d_m being the base-4 digits of k (qubit 1 most significant).
+    This is the tensorized Pauli decomposition: the matrix is viewed as one
+    (row bit, column bit) axis pair per qubit, and ``_PAULI_MAP`` is applied
+    along each pair in turn, O(m 4^m) work.  Raises ArithmeticError if a
+    value is not real within IMAG_TOL.
+    """
+    pairs = np.asarray(matrix).reshape((2,) * (2 * m))
+    spec = pairs.transpose([a for q in range(m) for a in (q, m + q)]).reshape(4, -1)
+    for _ in range(m):
+        # map the leading qubit's axis and rotate it to the back
+        spec = (_PAULI_MAP @ spec).T.reshape(4, -1)
+    return _real(spec.reshape(-1))
 
 
 def strings_on_support(n, subset):
@@ -106,18 +149,4 @@ def strings_on_support(n, subset):
         for q, c in zip(subset, combo):
             letters[q - 1] = c
         out.append(PauliString(n, "".join(letters)))
-    return out
-
-
-def dense_matrix(p):
-    """2^n x 2^n dense matrix of the string (test/oracle use; exponential)."""
-    mats = {
-        "I": np.eye(2, dtype=np.complex128),
-        "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-        "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-        "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-    }
-    out = np.array([[1.0]], dtype=np.complex128)
-    for c in p.letters:
-        out = np.kron(out, mats[c])
     return out

@@ -6,6 +6,7 @@ matrix), and the all-subset purity pass derives small reduced matrices from
 larger ones, which is what makes the fast path cheap.
 """
 
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -74,45 +75,95 @@ def subset_purity(psi, keep):
     return float(np.sum(np.abs(gram) ** 2))
 
 
+# amplitudes gathered per batch of Schmidt blocks in pure_subset_purities
+_BATCH_AMPLITUDES = 1 << 13
+
+
+def _leading_run(axes):
+    """How many of the axes 0, 1, 2, ... a sorted axis tuple starts with."""
+    return next((i for i, a in enumerate(axes) if a != i), len(axes))
+
+
+@cache
+def _purity_plan(n):
+    """The batches of ``pure_subset_purities`` for n qubits, built once per n.
+
+    Each batch is (rows, cols, levels, masks).  ``rows | cols`` indexes the
+    amplitudes into the batch's Schmidt blocks, one per floor(n/2)-qubit
+    subset.  ``levels`` holds, per smaller subset size, (count, dim, groups);
+    a group (parents, lo, hi) traces qubit q out of the first ``parents``
+    matrices of the level above, lo = 2^(q-1) and hi being the dimensions
+    of the factors before and after it.  ``masks`` gives every matrix's
+    subset, in order.
+
+    A subset holding qubits 1..r (not r+1) is the parent of one child per
+    q <= r, the subset without qubit q, which holds 1..q-1 and not q.  With
+    each level sorted by r, most first, the parents for q lead the level,
+    and the children listed for q = k, ..., 1 come out sorted.
+    """
+    half = n // 2
+    tops = [t for t in combinations(range(n), half) if half and (2 * half < n or t[0] == 0)]
+    tops.sort(key=_leading_run, reverse=True)
+    index = np.arange(1 << n).reshape((2,) * n)
+    step = max(1, _BATCH_AMPLITUDES >> n)
+    plan = []
+    for start in range(0, len(tops), step):
+        level = subsets = tops[start : start + step]
+        blocks = np.array([
+            index.transpose(t + tuple(a for a in range(n) if a not in t)).reshape(1 << half, -1)
+            for t in level
+        ])
+        levels = []
+        for k in range(half, 1, -1):
+            runs = [_leading_run(s) for s in level]
+            qs = range(k, 0, -1)
+            groups = [(sum(r >= q for r in runs), 1 << (q - 1), 1 << (k - q)) for q in qs]
+            level = [s[: q - 1] + s[q:] for q, g in zip(qs, groups) for s in level[: g[0]]]
+            if not level:
+                break
+            levels.append((len(level), 1 << (k - 1), groups))
+            subsets = subsets + level
+        masks = np.array([sum(1 << a for a in s) for s in subsets], dtype=np.intp)
+        plan.append((blocks[:, :, :1].copy(), blocks[:, :1, :].copy(), levels, masks))
+    return plan
+
+
 def pure_subset_purities(psi):
     """tr(rho_S^2) for every qubit subset S of a pure state, indexed by mask.
 
     Bit (i-1) of the index stands for qubit i; entry 0, the empty set, is 1.
     Only the |S| = floor(n/2) subsets (those holding qubit 1 when n is even)
-    take a Schmidt-block gram of the amplitudes.  Every smaller subset's
-    reduced matrix is its parent's partial trace over one qubit, the parent
-    being S plus the lowest qubit S lacks; a depth-first walk reaches each
-    subset once and keeps one chain of matrices alive.  A larger subset takes
-    its complement's purity (equal for a pure state), except the full set,
-    whose tr(rho^2) = <psi|psi>^2 comes from the amplitudes so a
-    normalisation error stays visible.
+    take a Schmidt-block gram of the amplitudes, a batch of blocks per
+    matrix product.  Every smaller subset's reduced matrix is its parent's
+    partial trace over one qubit, the parent being S plus the lowest qubit
+    S lacks, so each subset is reached once; the traces run one subset size
+    at a time over a whole batch.  A larger subset takes its complement's
+    purity (equal for a pure state), except the full set, whose
+    tr(rho^2) = <psi|psi>^2 comes from the amplitudes so a normalisation
+    error stays visible.
     """
     n = psi.num_qubits
+    amps = psi.amplitudes
     full = (1 << n) - 1
     purities = np.empty(1 << n)
     purities[0] = 1.0
-    purities[full] = float(np.vdot(psi.amplitudes, psi.amplitudes).real) ** 2
-
-    def descend(subset, mask, rho):
-        purities[mask] = purities[full ^ mask] = np.vdot(rho, rho).real
-        k = len(subset)
-        if k == 1:
-            return
-        # the children drop a qubit q while qubits 1..q all lie in S
-        for pos, q in enumerate(subset):
-            if q != pos + 1:
-                break
-            lo, hi = 2**pos, 2 ** (k - pos - 1)
-            t = rho.reshape(lo, 2, hi, lo, 2, hi)
-            child = (t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :]).reshape(lo * hi, -1)
-            descend(subset[:pos] + subset[pos + 1 :], mask & ~(1 << pos), child)
-
-    half = n // 2
-    for top in combinations(range(1, n + 1), half) if half else ():
-        if 2 * half == n and top[0] != 1:
-            continue
-        block = _pure_block(psi, top)
-        descend(top, sum(1 << (q - 1) for q in top), block @ block.conj().T)
+    purities[full] = float(np.vdot(amps, amps).real) ** 2
+    for rows, cols, levels, masks in _purity_plan(n):
+        blocks = amps[rows | cols]
+        stacks = [blocks @ blocks.conj().transpose(0, 2, 1)]
+        for count, dim, groups in levels:
+            stack = stacks[-1]
+            kids = np.empty((count, dim, dim), dtype=np.complex128)
+            at = 0
+            for parents, lo, hi in groups:
+                t = stack[:parents].reshape(parents, lo, 2, hi, lo, 2, hi)
+                out = kids[at : at + parents].reshape(parents, lo, hi, lo, hi)
+                np.add(t[:, :, 0, :, :, 0], t[:, :, 1, :, :, 1], out=out)
+                at += parents
+            stacks.append(kids)
+        flat = [s.reshape(len(s), -1).view(np.float64) for s in stacks]
+        vals = np.concatenate([np.vecdot(f, f) for f in flat])
+        purities[masks] = purities[full ^ masks] = vals
     return purities
 
 

@@ -33,6 +33,8 @@ class PureState:
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (2**n,):
             raise ValueError(f"expected {2**n} amplitudes, got {amps.shape}")
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite (no NaN or inf)")
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > NORM_TOL_INTERNAL:
             raise ValueError(f"state not normalized: |norm-1| = {abs(norm - 1.0):.3e}")
@@ -59,6 +61,8 @@ class MixedState:
         dim = 2**m
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix entries must be finite (no NaN or inf)")
         if np.max(np.abs(mat - mat.conj().T)) > HERM_TOL:
             raise ValueError("matrix is not Hermitian within tolerance")
         if abs(np.trace(mat).real - 1.0) > TRACE_TOL or abs(np.trace(mat).imag) > TRACE_TOL:
@@ -79,9 +83,13 @@ class MixedState:
 # ---------------------------------------------------------------------------
 
 def pure_from_amplitudes(n, amps, renormalize=False):
+    if not (1 <= n <= MAX_QUBITS):
+        raise ValueError(f"qubit count {n} outside [1, {MAX_QUBITS}]")
     amps = np.asarray(amps, dtype=np.complex128)
     if amps.shape != (2**n,):
         raise ValueError(f"expected {2**n} amplitudes for n={n}, got shape {amps.shape}")
+    if not np.isfinite(amps).all():
+        raise ValueError("amplitudes must be finite (no NaN or inf)")
     norm = np.linalg.norm(amps)
     if norm == 0.0:
         raise ValueError("zero-norm amplitude vector")
@@ -183,19 +191,39 @@ def state_to_json(state):
     raise TypeError(f"not a state: {type(state)!r}")
 
 
+def _count_field(obj, key):
+    val = obj.get(key)
+    if type(val) is not int:  # bool, float and str counts are rejected too
+        raise ValueError(f"state field {key!r} must be an integer, got {val!r}")
+    return val
+
+
+def _complex_field(obj, key, ndim):
+    """A field of nested lists of [re, im] number pairs, as a complex array."""
+    try:
+        arr = np.array(obj.get(key))
+        ok = arr.dtype.kind in "iuf" and arr.ndim == ndim + 1 and arr.shape[-1] == 2
+    except ValueError:  # ragged nesting
+        ok = False
+    if not ok:
+        raise ValueError(f"state field {key!r} must hold [re, im] number pairs")
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
 def state_from_json(text):
+    """Parse the wire format; any malformed or mistyped input is a ValueError."""
     import json
 
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError(f"state must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind == "pure":
-        n = obj["n"]
-        amps = np.array([complex(re, im) for re, im in obj["amplitudes"]])
-        return pure_from_amplitudes(n, amps)
+        n = _count_field(obj, "n")
+        return pure_from_amplitudes(n, _complex_field(obj, "amplitudes", 1))
     if kind == "mixed":
-        m = obj["m"]
-        mat = np.array([[complex(re, im) for re, im in row] for row in obj["matrix"]])
-        return MixedState(m, mat)
+        m = _count_field(obj, "m")
+        return MixedState(m, _complex_field(obj, "matrix", 2))
     raise ValueError(f"unknown state kind {kind!r}")
 
 

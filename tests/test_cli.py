@@ -51,6 +51,13 @@ class TestReport:
     def test_bad_family_exit_2(self, capsys):
         assert main(["report", "--state", "cluster:4"]) == 2
 
+    def test_mistyped_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"kind":"pure","n":1,"amplitudes":[["NaN",0],[1,0]]}')
+        assert main(["report", "--state", f"file:{path}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_out_file(self, tmp_path):
         dest = tmp_path / "report.json"
         assert main(
@@ -89,6 +96,19 @@ class TestFuzz:
                      "--out", str(witness)])
         assert code == 1
         assert isinstance(mq.load_state(witness), mq.PureState)
+
+    def test_all_gives_each_failing_identity_its_own_witness(self, tmp_path, capsys):
+        witness = tmp_path / "w.json"
+        assert main(["fuzz", "--n", "3", "--trials", "2", "--seed", "3",
+                     "--tol", "1e-30", "--out", str(witness), "--format", "json"]) == 1
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["identity"] for r in rows] == ["eq1b", "eq14"]
+        for row in rows:
+            path = tmp_path / f"w_{row['identity']}.json"
+            assert row["witness_path"] == str(path)
+            worst = mq.random_pure(3, row["worst_seed"])
+            assert np.allclose(mq.load_state(path).amplitudes, worst.amplitudes, rtol=0, atol=1e-15)
+        assert not witness.exists()
 
     def test_eq20_needs_n4(self, capsys):
         assert main(["fuzz", "--n", "3", "--trials", "1",
@@ -157,6 +177,20 @@ class TestMixedCheck:
     def test_rho_without_identity_exit_2(self, capsys):
         assert main(["mixed-check", "--rho", "maximally-mixed:6"]) == 2
         assert "no mixed-state identity applies to m=6" in capsys.readouterr().err
+
+    def test_random_json_names_witness(self, tmp_path, capsys):
+        witness = tmp_path / "w2.json"
+        assert main(["mixed-check", "--random", "--m", "2", "--trials", "2",
+                     "--tol", "1e-30", "--out", str(witness), "--format", "json"]) == 1
+        rows = {r["identity"]: r for r in json.loads(capsys.readouterr().out)}
+        row = rows["eq24"]
+        assert row["passed"] is False
+        assert row["witness_path"] == str(tmp_path / "w2_eq24.json")
+        # seed 0 makes trial == worst_seed, and the rank cycles 1..4 over trials
+        worst = mq.random_mixed(2, row["worst_seed"] % 4 + 1, row["worst_seed"])
+        assert np.array_equal(mq.load_state(row["witness_path"]).matrix, worst.matrix)
+        for r in rows.values():
+            assert ("witness_path" in r) == (not r["passed"])
 
     def test_needs_source(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mqinfo as mq
-from mqinfo.identities import MAX_TRIALS, derive_seed
+from mqinfo.identities import MAX_TRIALS, MIXED_PAIR_TOL, derive_seed
 
 
 def bell_pair_tensor():
@@ -283,6 +283,12 @@ class TestFuzzDriver:
         s = mq.fuzz_mixed_identity("eq24", 2, None, 16, 1)
         assert s["passed"]
         assert s["max_residual"] <= 1e-10
+
+    def test_mixed_pair_gate_is_fixed(self):
+        # --tol (default 1e-9) never loosens the mixed-pair gate
+        assert mq.fuzz_mixed_identity("eq24", 2, None, 4, 0)["tolerance"] == MIXED_PAIR_TOL == 1e-10
+        assert mq.fuzz_mixed_identity("eq24", 2, None, 4, 0, tol=1e-12)["tolerance"] == 1e-12
+        assert mq.residual_mixed_pair(mq.random_mixed(2, 2, 0), tol=1e-6).tolerance == 1e-10
 
     def test_eq12_requires_n4(self):
         with pytest.raises(ValueError, match="n = 4"):

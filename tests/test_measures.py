@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 import mqinfo as mq
+from mqinfo import measures
 from mqinfo.reduction import subset_purity
+
+from conftest import dense_pauli
 
 
 def random_su2(rng):
@@ -91,9 +94,10 @@ class TestAllInfosFast:
         for s in fast.entries:
             assert fast.entries[s] == pytest.approx(slow.entries[s], abs=1e-9)
 
-    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("n", [1, 5, 6, 8])
     def test_stored_purities_match_subset_purity(self, n):
-        # odd n, and even n with its |S| = n/2 tie between a subset and its complement
+        # odd n, even n with its |S| = n/2 tie between a subset and its
+        # complement, and n = 8, whose 35 Schmidt blocks take two batches
         psi = mq.random_pure(n, 120 + n)
         purities = mq.all_infos_fast(psi).purities
         assert purities.shape == (2**n,)
@@ -106,6 +110,22 @@ class TestAllInfosFast:
         psi = mq.random_pure(3, 7)
         assert mq.all_infos_enumerated(psi).purities is None
         assert mq.all_infos_mixed(mq.density_of(psi)).purities is None
+
+    def test_oracle_size_limit(self):
+        with pytest.raises(ValueError, match="n <= 7"):
+            mq.all_infos_enumerated(mq.random_pure(8, 0))
+
+    def test_oracle_independent_of_purity_route(self, monkeypatch):
+        # the oracle must agree with the fast route without sharing its code
+        def forbidden(*args):
+            raise AssertionError("oracle reached the purity route")
+
+        monkeypatch.setattr(measures, "pure_subset_purities", forbidden)
+        monkeypatch.setattr(measures, "subset_purity", forbidden)
+        monkeypatch.setattr(measures, "all_infos_fast", forbidden)
+        psi = mq.random_pure(4, 9)
+        mq.all_infos_enumerated(psi)
+        mq.all_infos_mixed(mq.density_of(psi))
 
 
 class TestTotals:
@@ -192,6 +212,14 @@ class TestNTangle:
         rotated = mq.PureState(4, np.exp(0.7j) * psi.amplitudes)
         assert mq.n_tangle(rotated) == pytest.approx(mq.n_tangle(psi), abs=1e-10)
 
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_matches_dense_spin_flip(self, n):
+        for seed in range(3):
+            psi = mq.random_pure(n, 60 + seed)
+            a = psi.amplitudes
+            dense = abs(np.vdot(a, dense_pauli("Y" * n) @ a.conj())) ** 2
+            assert mq.n_tangle(psi) == pytest.approx(dense, abs=1e-12)
+
 
 class TestConcurrence:
     def test_bell(self, bell):
@@ -244,6 +272,15 @@ class TestMixedInfos:
         table = mq.all_infos_mixed(rho)
         assert table.get((1,)) == pytest.approx(0.0, abs=1e-12)
         assert table.get((1, 2)) == pytest.approx(-1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_per_string_sums(self, m):
+        rho = mq.random_mixed(m, 2**m - 1 if m > 1 else 2, 30 + m)
+        table = mq.all_infos_mixed(rho)
+        for subset in table.subsets():
+            f = sum(mq.expectation_mixed(rho, p) ** 2 for p in mq.strings_on_support(m, subset))
+            want = f if len(subset) == 1 else f - 1.0
+            assert table.get(subset) == pytest.approx(want, abs=1e-12)
 
     def test_pure_density_matches_pure_table(self):
         psi = mq.random_pure(3, 3)

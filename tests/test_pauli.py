@@ -1,9 +1,11 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 import mqinfo as mq
-from mqinfo import _kernels
-from mqinfo.pauli import PauliString, dense_matrix
+from mqinfo import pauli
+from mqinfo.pauli import PauliString, pauli_spectrum
 
 from conftest import dense_pauli
 
@@ -27,10 +29,6 @@ class TestPauliString:
     def test_wrong_length(self):
         with pytest.raises(ValueError, match="letters"):
             PauliString(3, "XX")
-
-    def test_dense_matches_kron_oracle(self):
-        for letters in ("XYZI", "YYXZ", "IIII", "ZXIY"):
-            assert np.allclose(dense_matrix(PauliString(4, letters)), dense_pauli(letters))
 
 
 class TestStringsOnSupport:
@@ -89,7 +87,7 @@ class TestExpectationPure:
 
     def test_non_real_raises(self, monkeypatch):
         # a real exception, so running under python -O keeps the check
-        monkeypatch.setattr(_kernels, "expect_pure", lambda *args: 1j)
+        monkeypatch.setattr(pauli, "_expect_pure", lambda *args: 1j)
         with pytest.raises(ArithmeticError, match="non-real"):
             mq.expectation_pure(mq.make_named("ghz", 2), PauliString(2, "ZZ"))
 
@@ -116,7 +114,7 @@ class TestExpectationMixed:
             )
 
     def test_non_real_raises(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "expect_mixed", lambda *args: 1j)
+        monkeypatch.setattr(pauli, "_expect_mixed", lambda *args: 1j)
         rho = mq.MixedState(1, np.eye(2, dtype=complex) / 2)
         with pytest.raises(ArithmeticError, match="non-real"):
             mq.expectation_mixed(rho, PauliString(1, "Z"))
@@ -179,25 +177,32 @@ class TestBlochIdentity:
         assert total == pytest.approx(2 ** len(subset) * pur, abs=1e-9)
 
 
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba backend not active")
-class TestKernelBackends:
-    def test_expect_pure_agreement(self):
-        psi = mq.random_pure(4, 2)
-        for p in mq.strings_on_support(4, (1, 2, 4)):
-            a = _kernels.expect_pure_numba(psi.amplitudes, p.x_mask, p.z_mask)
-            b = _kernels.expect_pure_numpy(psi.amplitudes, p.x_mask, p.z_mask)
-            assert a == pytest.approx(b, abs=1e-13)
+class TestPauliSpectrum:
+    """All 4^m values tr(M P) from one tensorized pass."""
 
-    def test_apply_pure_agreement(self):
-        psi = mq.random_pure(4, 5)
-        p = mq.PauliString(4, "YZXY")
-        a = _kernels.apply_pure_numba(psi.amplitudes, p.x_mask, p.z_mask, 1j**p.num_y)
-        b = _kernels.apply_pure_numpy(psi.amplitudes, p.x_mask, p.z_mask, 1j**p.num_y)
-        assert np.allclose(a, b, atol=1e-14)
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_dense_trace(self, m, kind):
+        state = mq.density_of(mq.random_pure(m, m)) if kind == "pure" else mq.random_mixed(m, 2, m)
+        spec = pauli_spectrum(state.matrix, m)
+        assert spec.shape == (4**m,) and spec.dtype == np.float64
+        for k, letters in enumerate(product("IXYZ", repeat=m)):
+            dense = np.trace(state.matrix @ dense_pauli(letters))
+            assert spec[k] == pytest.approx(dense.real, abs=1e-12)
 
-    def test_expect_mixed_agreement(self):
-        rho = mq.random_mixed(3, 4, 7)
-        for p in mq.strings_on_support(3, (1, 3)):
-            a = _kernels.expect_mixed_numba(rho.matrix, p.x_mask, p.z_mask)
-            b = _kernels.expect_mixed_numpy(rho.matrix, p.x_mask, p.z_mask)
-            assert a == pytest.approx(b, abs=1e-13)
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_per_string_expectations(self, m):
+        psi = mq.random_pure(m, 40 + m)
+        rho = mq.random_mixed(m, 3 if m > 1 else 2, 40 + m)
+        pure_spec = pauli_spectrum(np.outer(psi.amplitudes, psi.amplitudes.conj()), m)
+        mixed_spec = pauli_spectrum(rho.matrix, m)
+        for k, letters in enumerate(product("IXYZ", repeat=m)):
+            p = PauliString(m, "".join(letters))
+            assert abs(pure_spec[k] - mq.expectation_pure(psi, p)) <= 1e-12
+            assert abs(mixed_spec[k] - mq.expectation_mixed(rho, p)) <= 1e-12
+
+    def test_non_hermitian_raises(self):
+        mat = np.eye(4, dtype=complex) / 4
+        mat[0, 1] = 0.25  # no matching [1, 0] entry: tr(M X) and tr(M Y) turn complex
+        with pytest.raises(ArithmeticError, match="non-real"):
+            pauli_spectrum(mat, 2)

@@ -151,6 +151,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             PureState(1, np.array([1 + 1e-9, 0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PureState(1, np.array([bad, 0]))
+        with pytest.raises(ValueError, match="finite"):
+            mq.pure_from_amplitudes(1, [bad, 0], renormalize=True)
+        mat = np.diag([0.5, 0.5]).astype(complex)
+        mat[0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            MixedState(1, mat)
+
 
 class TestJsonSchema:
     def test_pure_round_trip_byte_identical(self):
@@ -183,6 +194,32 @@ class TestJsonSchema:
         path = tmp_path / "w3.json"
         mq.save_state(st, path)
         assert np.array_equal(mq.load_state(path).amplitudes, st.amplitudes)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2]",
+            '{"kind":"pure","n":1,"amplitudes":5}',
+            '{"kind":"pure","n":1,"amplitudes":[["NaN",0],[0,0]]}',
+            '{"kind":"pure","n":1,"amplitudes":[[NaN,0],[0,0]]}',
+            '{"kind":"pure","n":1,"amplitudes":[[1,0],[0]]}',
+            '{"kind":"pure","n":1,"amplitudes":[[1,0],[0,null]]}',
+            '{"kind":"pure","n":"1","amplitudes":[[1,0],[0,0]]}',
+            '{"kind":"pure","n":1.0,"amplitudes":[[1,0],[0,0]]}',
+            '{"kind":"pure","n":1}',
+            '{"kind":"mixed","m":true,"matrix":[[[1,0],[0,0]],[[0,0],[0,0]]]}',
+            '{"kind":"mixed","m":1,"matrix":[[1,0],[0,0]]}',
+            '{"kind":"mixed","m":1,"matrix":[[[Infinity,0],[0,0]],[[0,0],[0,0]]]}',
+        ],
+        ids=[
+            "top-level-list", "amplitudes-number", "nan-string", "nan-literal", "ragged",
+            "null-entry", "n-string", "n-float", "no-amplitudes", "m-bool", "flat-matrix",
+            "inf-entry",
+        ],
+    )
+    def test_mistyped_input_is_value_error(self, text):
+        with pytest.raises(ValueError):
+            mq.state_from_json(text)
 
     def test_loaded_matrix_is_validated(self):
         # a non-PSD matrix in valid JSON must be rejected on load
