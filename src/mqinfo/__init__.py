@@ -29,9 +29,10 @@ from .measures import (
     tau_linear_entropy,
 )
 from .identities import (
+    IDENTITIES,
     IdentityReport,
-    fuzz_mixed_identity,
-    fuzz_pure_identity,
+    applicable,
+    fuzz,
     mixed_total_info_margin,
     residual_combination_4q,
     residual_complementarity,

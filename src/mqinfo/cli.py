@@ -2,16 +2,22 @@
 
 Subcommands:
   report       full information/identity report for one pure state
-  fuzz         run an identity checker over seeded Haar-random states
+  fuzz         run identity checkers over seeded Haar-random states
   mixed-check  evaluate the mixed-state relations on random or given matrices
   bench        time the fast route against the enumeration oracle
 
-Exit codes: 0 all checks pass, 1 a tolerance failure, 2 input/usage error.
+Which identities run for a qubit count comes from the registry in
+``identities``; fuzz and ``mixed-check --random`` share one fuzz call, one
+witness step and one summary format.
+
+Exit codes: 0 all checks pass, 1 a tolerance failure, 2 input/usage error
+(a --tol that is negative, infinite or NaN included).
 """
 
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -19,21 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .identities import (
-    EQ_TOL,
-    MIXED_IDENTITIES,
-    PURE_IDENTITIES,
-    fuzz_mixed_identity,
-    fuzz_pure_identity,
-    mixed_total_info_margin,
-    residual_combination_4q,
-    residual_complementarity,
-    residual_mixed_pair,
-    residual_mixed_triple,
-    residual_pair_partition,
-    residual_single_partition,
-    residual_tangle_relation_4q,
-)
+from .identities import EQ_TOL, IDENTITIES, PURE_IDENTITIES, applicable, fuzz
 from .measures import (
     all_infos_enumerated,
     all_infos_fast,
@@ -113,23 +105,18 @@ def _frac_hint(x):
 def _build_report(psi, tol):
     n = psi.num_qubits
     table = all_infos_fast(psi)
-    taus_single = {k: tau_linear_entropy(psi, (k,), table) for k in range(1, n + 1)} if n >= 2 else {}
+    names = applicable("pure", n)
+    reports = [rep for name in names for rep in IDENTITIES[name].check(psi, table, tol)]
+    qubits = range(1, n + 1)
+    # the taus the one-vs-rest (eq14) and pair-vs-rest (eq20) relations use
+    taus_single = (
+        {k: tau_linear_entropy(psi, (k,), table) for k in qubits} if "eq14" in names else {}
+    )
     taus_pair = (
-        {p: tau_linear_entropy(psi, p, table) for p in itertools.combinations(range(1, n + 1), 2)}
-        if n >= 4
+        {p: tau_linear_entropy(psi, p, table) for p in itertools.combinations(qubits, 2)}
+        if "eq20" in names
         else {}
     )
-    reports = [residual_complementarity(psi, table, tol)]
-    if n >= 2:
-        reports += [residual_single_partition(psi, k, table, tol) for k in range(1, n + 1)]
-    if n >= 4:
-        reports += [
-            residual_pair_partition(psi, p, table, tol)
-            for p in itertools.combinations(range(1, n + 1), 2)
-        ]
-    if n == 4:
-        reports.append(residual_tangle_relation_4q(psi, table, tol))
-        reports.append(residual_combination_4q(psi, table, tol))
     extras = {}
     if n % 2 == 0:
         extras["n_tangle"] = n_tangle(psi)
@@ -194,130 +181,52 @@ def cmd_report(args):
 
 
 # ---------------------------------------------------------------------------
-# fuzz
+# fuzz and mixed-check
 # ---------------------------------------------------------------------------
 
-def _pure_requirement(name, n):
-    """The qubit count identity ``name`` needs, or None when n qualifies."""
-    if name in ("eq12", "eq26") and n != 4:
-        return "--n 4"
-    if name == "eq20" and n < 4:
-        return "--n >= 4"
-    if name == "eq14" and n < 2:
-        return "--n >= 2"
-    return None
+_NOT_IN_ROWS = ("tolerance", "worst_state", "worst_report")
 
 
-def cmd_fuzz(args):
-    names = list(PURE_IDENTITIES) if args.identity == "all" else [args.identity]
-    summaries = []
-    failed = False
-    for name in names:
-        need = _pure_requirement(name, args.n)
-        if need is not None:
-            if args.identity == "all":
-                continue
-            raise ValueError(f"{name} requires {need}")
-        summary = fuzz_pure_identity(name, args.n, args.trials, args.seed, args.tol)
-        summaries.append(summary)
-        if not summary["passed"]:
-            failed = True
-            _save_witness(summary, args.out, args.identity == "all")
+def _emit_fuzz(summaries, args, several):
+    """Write witnesses for failing summaries, print them, return the exit code."""
+    for s in summaries:
+        if not s["passed"]:
+            _save_witness(s, args.out, several)
     if args.format == "json":
-        obj = [
-            {
-                "identity": s["identity"],
-                "n": s["n"],
-                "trials": s["trials"],
-                "max_residual": s["max_residual"],
-                "worst_seed": s["worst_seed"],
-                "failures": s["failures"],
-                "passed": s["passed"],
-                **({"witness_path": s["witness_path"]} if "witness_path" in s else {}),
-            }
-            for s in summaries
-        ]
-        print(json.dumps(obj, sort_keys=True))
+        rows = [{k: v for k, v in s.items() if k not in _NOT_IN_ROWS} for s in summaries]
+        print(json.dumps(rows, sort_keys=True))
     else:
         for s in summaries:
             status = "pass" if s["passed"] else "FAIL"
+            size = f"n={s['n']}" if "n" in s else f"m={s['m']}"
+            margin = "" if s.get("min_margin") is None else f" min margin={s['min_margin']:.3e}"
             print(
-                f"[{status}] {s['identity']:<6} n={s['n']} trials={s['trials']} "
-                f"max|residual|={s['max_residual']:.3e} worst seed={s['worst_seed']}"
+                f"[{status}] {s['identity']:<6} {size} trials={s['trials']} "
+                f"max|residual|={s['max_residual']:.3e}{margin} worst seed={s['worst_seed']}"
             )
             if "witness_path" in s:
                 print(f"       witness state written to {s['witness_path']}")
-    return 1 if failed else 0
+    return 0 if all(s["passed"] for s in summaries) else 1
 
 
-# ---------------------------------------------------------------------------
-# mixed-check
-# ---------------------------------------------------------------------------
-
-def _mixed_names_for(m):
-    names = []
-    if m == 2:
-        names.append("eq24")
-    if m == 3:
-        names.append("eq25")
-    if m <= 5:
-        names.append("eq23")
-    if not names:
-        raise ValueError(f"no mixed-state identity applies to m={m}")
-    return names
+def cmd_fuzz(args):
+    every = args.identity == "all"
+    names = applicable("pure", args.n) if every else [args.identity]
+    return _emit_fuzz(fuzz(names, args.n, args.trials, args.seed, args.tol), args, every)
 
 
 def cmd_mixed_check(args):
     if args.random:
-        failed = False
-        rows = []
-        names = _mixed_names_for(args.m)
-        for name in names:
-            summary = fuzz_mixed_identity(
-                name, args.m, args.rank, args.trials, args.seed, args.tol
-            )
-            if not summary["passed"]:
-                failed = True
-                _save_witness(summary, args.out, len(names) > 1)
-            rows.append(summary)
-        if args.format == "json":
-            obj = [
-                {
-                    "identity": s["identity"],
-                    "m": s["m"],
-                    "rank": s["rank"],
-                    "trials": s["trials"],
-                    "max_residual": s["max_residual"],
-                    "min_margin": s["min_margin"],
-                    "worst_seed": s["worst_seed"],
-                    "failures": s["failures"],
-                    "passed": s["passed"],
-                    **({"witness_path": s["witness_path"]} if "witness_path" in s else {}),
-                }
-                for s in rows
-            ]
-            print(json.dumps(obj, sort_keys=True))
-        else:
-            for s in rows:
-                status = "pass" if s["passed"] else "FAIL"
-                margin = "" if s["min_margin"] is None else f" min margin={s['min_margin']:.3e}"
-                print(
-                    f"[{status}] {s['identity']:<6} m={s['m']} trials={s['trials']} "
-                    f"max|residual|={s['max_residual']:.3e}{margin} worst seed={s['worst_seed']}"
-                )
-                if "witness_path" in s:
-                    print(f"       witness state written to {s['witness_path']}")
-        return 1 if failed else 0
+        names = applicable("mixed", args.m)
+        summaries = fuzz(names, args.m, args.trials, args.seed, args.tol, args.rank)
+        return _emit_fuzz(summaries, args, len(names) > 1)
 
     rho = _resolve_mixed(args.rho)
-    _mixed_names_for(rho.num_qubits)  # rejects a size no identity covers
-    reports = []
-    if rho.num_qubits == 2:
-        reports.append(residual_mixed_pair(rho, args.tol))
-    if rho.num_qubits == 3:
-        reports.append(residual_mixed_triple(rho, args.tol))
-    if rho.num_qubits <= 5:
-        reports.append(mixed_total_info_margin(rho, args.tol))
+    reports = [
+        rep
+        for name in applicable("mixed", rho.num_qubits)
+        for rep in IDENTITIES[name].check(rho, None, args.tol)
+    ]
     if args.format == "json":
         print(json.dumps([r.to_json_obj() for r in reports], sort_keys=True))
     else:
@@ -416,6 +325,9 @@ def main(argv=None):
     if args.command == "mixed-check" and not args.random and args.rho is None:
         parser.error("mixed-check needs --rho or --random")
     try:
+        # a tolerance that is infinite or NaN would pass every check vacuously
+        if "tol" in args and not (math.isfinite(args.tol) and args.tol >= 0):
+            raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

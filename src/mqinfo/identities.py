@@ -1,9 +1,15 @@
-"""Residual checkers for the complementarity and monogamy relations.
+"""The paper's relations: residual checkers, the identity registry, the fuzz driver.
 
 Each checker evaluates both sides of one equality (or the margin of one
 inequality) on a concrete state and returns an IdentityReport.  Checkers are
-pure functions; the fuzz driver runs them over seeded Haar-random states and
-reports the worst residual with its seed.
+pure functions.
+
+``IDENTITIES`` is the one table of the relations, in output order: eq1b,
+eq14, eq20, eq12, eq26 on pure states, then eq24, eq25, eq23 on density
+matrices.  Each entry gives the kind, the qubit counts it applies to, and a
+checker returning every report the relation makes on one state.  report,
+fuzz and mixed-check take what they run from ``applicable``; ``fuzz`` draws
+one seeded random state per trial and runs every named identity on it.
 
 Conventions resolved here (fixed by the explicit small-n instances):
   * the one-vs-rest sum runs over all subsets containing qubit k with
@@ -14,6 +20,7 @@ Conventions resolved here (fixed by the explicit small-n instances):
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .measures import (
     all_infos_fast,
@@ -198,42 +205,94 @@ def residual_mixed_triple(rho, tol=EQ_TOL):
 def mixed_total_info_margin(rho, tol=INEQ_TOL):
     """Total information of a density matrix is at most the qubit count."""
     m = rho.num_qubits
-    if m > 5:
-        raise ValueError("mixed total-information check limited to m <= 5")
     total = all_infos_mixed(rho).total()
     return _inequality("mixed-total-info", total, float(m), tol, {"m": m})
+
+
+# ---------------------------------------------------------------------------
+# the identity registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Identity:
+    """One of the paper's relations, as report, fuzz and mixed-check run it.
+
+    ``check(state, table, tol)`` returns the relation's IdentityReports for
+    one state; ``table`` is the state's all_infos_fast table (None for a
+    density matrix).  ``requirement`` names the qubit count that
+    ``applies`` accepts, for error messages.  The worst case of an
+    inequality is its smallest margin, of an equality its largest |residual|.
+    """
+
+    kind: str
+    applies: Callable[[int], bool]
+    requirement: str
+    check: Callable
+    inequality: bool = False
+
+
+def _qubits(state):
+    return range(1, state.num_qubits + 1)
+
+
+# Table order is output order.  The checkers look the residual functions up
+# at call time, so wrappers installed on the module are seen.
+IDENTITIES = {
+    "eq1b": Identity(
+        "pure", lambda n: True, "--n >= 1",
+        lambda psi, table, tol: [residual_complementarity(psi, table, tol)],
+    ),
+    "eq14": Identity(
+        "pure", lambda n: n >= 2, "--n >= 2",
+        lambda psi, table, tol: [
+            residual_single_partition(psi, k, table, tol) for k in _qubits(psi)
+        ],
+    ),
+    "eq20": Identity(
+        "pure", lambda n: n >= 4, "--n >= 4",
+        lambda psi, table, tol: [
+            residual_pair_partition(psi, pair, table, tol)
+            for pair in itertools.combinations(_qubits(psi), 2)
+        ],
+    ),
+    "eq12": Identity(
+        "pure", lambda n: n == 4, "--n 4",
+        lambda psi, table, tol: [residual_tangle_relation_4q(psi, table, tol)],
+    ),
+    "eq26": Identity(
+        "pure", lambda n: n == 4, "--n 4",
+        lambda psi, table, tol: [residual_combination_4q(psi, table, tol)],
+    ),
+    "eq24": Identity(
+        "mixed", lambda m: m == 2, "--m 2",
+        lambda rho, table, tol: [residual_mixed_pair(rho, tol)],
+    ),
+    "eq25": Identity(
+        "mixed", lambda m: m == 3, "--m 3",
+        lambda rho, table, tol: [residual_mixed_triple(rho, tol)],
+    ),
+    "eq23": Identity(
+        "mixed", lambda m: True, "--m >= 1",
+        lambda rho, table, tol: [mixed_total_info_margin(rho, tol)],
+        inequality=True,
+    ),
+}
+PURE_IDENTITIES = tuple(k for k, v in IDENTITIES.items() if v.kind == "pure")
+MIXED_IDENTITIES = tuple(k for k, v in IDENTITIES.items() if v.kind == "mixed")
+
+
+def applicable(kind, n):
+    """Names of the ``kind`` identities that apply to ``n`` qubits, in table order."""
+    return [
+        name for name, ident in IDENTITIES.items()
+        if ident.kind == kind and ident.applies(n)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # fuzz driver
 # ---------------------------------------------------------------------------
 
-def _all_reports_pure(name, psi, tol):
-    """Reports for one named identity on one pure state."""
-    n = psi.num_qubits
-    table = all_infos_fast(psi)
-    if name == "eq1b":
-        return [residual_complementarity(psi, table, tol)]
-    if name == "eq14":
-        return [
-            residual_single_partition(psi, k, table, tol) for k in range(1, n + 1)
-        ]
-    if name == "eq20":
-        if n < 4:
-            raise ValueError("eq20 requires n >= 4")
-        return [
-            residual_pair_partition(psi, pair, table, tol)
-            for pair in itertools.combinations(range(1, n + 1), 2)
-        ]
-    if name == "eq12":
-        return [residual_tangle_relation_4q(psi, table, tol)]
-    if name == "eq26":
-        return [residual_combination_4q(psi, table, tol)]
-    raise ValueError(f"unknown pure-state identity {name!r}")
-
-
-PURE_IDENTITIES = ("eq1b", "eq14", "eq20", "eq12", "eq26")
-MIXED_IDENTITIES = ("eq23", "eq24", "eq25")
 MAX_TRIALS = 1_000_003
 
 
@@ -242,98 +301,60 @@ def derive_seed(base_seed, trial):
     return base_seed * MAX_TRIALS + trial
 
 
-def _check_trials(trials):
+def fuzz(names, n, trials, base_seed, tol=EQ_TOL, rank=None):
+    """Run the named identities over seeded random states; one summary each.
+
+    The names share one kind.  Trial t draws one state from seed
+    ``derive_seed(base_seed, t)``: a Haar-random pure state on n qubits, or a
+    random density matrix on n qubits of rank ``rank`` (None cycles through
+    every rank 1..2^n across trials).  A pure state gets one all_infos_fast
+    table, and every named identity runs on that state and table.
+
+    Each summary holds the max |residual|, the failure count, and the seed,
+    state and report of the worst case (for witness files); ``tolerance`` is
+    the gate the checker applied.  Mixed summaries add ``rank`` and the
+    smallest margin; the qubit count is ``n`` for pure and ``m`` for mixed.
+    """
+    for name in names:
+        ident = IDENTITIES.get(name)
+        if ident is None:
+            raise ValueError(f"unknown identity {name!r}")
+        if not ident.applies(n):
+            raise ValueError(f"{name} requires {ident.requirement}")
+    idents = [IDENTITIES[name] for name in names]
+    if len({ident.kind for ident in idents}) != 1:
+        raise ValueError(f"fuzz needs identities of one kind, got {names!r}")
     # more trials than MAX_TRIALS would reuse the next base seed's states
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
-
-
-def fuzz_pure_identity(name, n, trials, base_seed, tol=EQ_TOL):
-    """Run one identity over seeded Haar-random states.
-
-    Returns a summary dict with the max |residual|, the seed attaining it,
-    and the worst (failing or extremal) state for witness persistence.
-    """
-    if name in ("eq12", "eq26") and n != 4:
-        raise ValueError(f"{name} requires n = 4")
-    _check_trials(trials)
-    worst = None
-    max_residual = -1.0
-    failures = 0
+    pure = idents[0].kind == "pure"
+    size = {"n": n} if pure else {"m": n, "rank": rank, "min_margin": None}
+    summaries = [
+        {"identity": name, **size, "trials": trials, "max_residual": 0.0, "failures": 0}
+        for name in names
+    ]
+    scores = [None] * len(names)
     for trial in range(trials):
         seed = derive_seed(base_seed, trial)
-        psi = random_pure(n, seed)
-        for rep in _all_reports_pure(name, psi, tol):
-            if abs(rep.residual) > max_residual:
-                max_residual = abs(rep.residual)
-                worst = (seed, psi, rep)
-            if not rep.passed:
-                failures += 1
-    seed, psi, rep = worst
-    return {
-        "identity": name,
-        "n": n,
-        "trials": trials,
-        "tolerance": tol,
-        "max_residual": max_residual,
-        "worst_seed": seed,
-        "worst_state": psi,
-        "worst_report": rep,
-        "failures": failures,
-        "passed": failures == 0,
-    }
-
-
-def _mixed_reports(name, rho, tol):
-    if name == "eq23":
-        return [mixed_total_info_margin(rho, tol)]
-    if name == "eq24":
-        return [residual_mixed_pair(rho, tol)]
-    if name == "eq25":
-        return [residual_mixed_triple(rho, tol)]
-    raise ValueError(f"unknown mixed-state identity {name!r}")
-
-
-def fuzz_mixed_identity(name, m, rank, trials, base_seed, tol=EQ_TOL):
-    """Run one mixed-state identity over seeded random density matrices.
-
-    ``rank`` of None cycles through every rank 1..2^m across trials.  The
-    summary's ``tolerance`` is the gate the checker applied.
-    """
-    _check_trials(trials)
-    worst = None
-    worst_score = None
-    max_residual = 0.0
-    min_margin = None
-    failures = 0
-    for trial in range(trials):
-        seed = derive_seed(base_seed, trial)
-        r = rank if rank is not None else (trial % (2**m)) + 1
-        rho = random_mixed(m, r, seed)
-        for rep in _mixed_reports(name, rho, tol):
-            # eq23 is a pure inequality: rank by smallest margin, not residual
-            score = -rep.context["margin"] if name == "eq23" else abs(rep.residual)
-            if worst_score is None or score > worst_score:
-                worst_score = score
-                worst = (seed, rho, rep)
-            max_residual = max(max_residual, abs(rep.residual))
-            if "margin" in rep.context:
-                margin = rep.context["margin"]
-                min_margin = margin if min_margin is None else min(min_margin, margin)
-            if not rep.passed:
-                failures += 1
-    seed, rho, rep = worst
-    return {
-        "identity": name,
-        "m": m,
-        "rank": rank,
-        "trials": trials,
-        "tolerance": rep.tolerance,
-        "max_residual": max_residual,
-        "min_margin": min_margin,
-        "worst_seed": seed,
-        "worst_state": rho,
-        "worst_report": rep,
-        "failures": failures,
-        "passed": failures == 0,
-    }
+        if pure:
+            state = random_pure(n, seed)
+            table = all_infos_fast(state)
+        else:
+            r = rank if rank is not None else (trial % (2**n)) + 1
+            state, table = random_mixed(n, r, seed), None
+        for i, (ident, s) in enumerate(zip(idents, summaries)):
+            for rep in ident.check(state, table, tol):
+                margin = rep.context.get("margin")
+                score = -margin if ident.inequality else abs(rep.residual)
+                if scores[i] is None or score > scores[i]:
+                    scores[i] = score
+                    s.update(worst_seed=seed, worst_state=state, worst_report=rep,
+                             tolerance=rep.tolerance)
+                s["max_residual"] = max(s["max_residual"], abs(rep.residual))
+                if margin is not None and not pure:
+                    s["min_margin"] = margin if s["min_margin"] is None else min(s["min_margin"], margin)
+                if not rep.passed:
+                    s["failures"] += 1
+    for s in summaries:
+        s["passed"] = s["failures"] == 0
+    return summaries

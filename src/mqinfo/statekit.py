@@ -93,15 +93,14 @@ def pure_from_amplitudes(n, amps, renormalize=False):
     norm = np.linalg.norm(amps)
     if norm == 0.0:
         raise ValueError("zero-norm amplitude vector")
-    if renormalize:
+    if not renormalize and abs(norm - 1.0) > NORM_TOL_INPUT:
+        raise ValueError(
+            f"amplitudes not normalized (|norm-1| = {abs(norm - 1.0):.3e}); "
+            "pass renormalize=True to accept"
+        )
+    # a vector PureState accepts is kept as is, so saved states reload bit for bit
+    if renormalize or abs(norm - 1.0) > NORM_TOL_INTERNAL:
         amps = amps / norm
-    else:
-        if abs(norm - 1.0) > NORM_TOL_INPUT:
-            raise ValueError(
-                f"amplitudes not normalized (|norm-1| = {abs(norm - 1.0):.3e}); "
-                "pass renormalize=True to accept"
-            )
-        amps = amps / norm  # snap to exact unit norm
     return PureState(n, amps)
 
 

@@ -197,6 +197,15 @@ def test_criterion_9_cross_formula_consistency():
             f"info {worst_info:.3e}, tau {worst_tau:.3e}, conc {worst_conc:.3e}")
 
 
+def _best_time(fn, arg, calls=5):
+    best = float("inf")
+    for _ in range(calls):
+        t0 = time.perf_counter()
+        fn(arg)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
 def test_criterion_10_performance():
     psi10 = mq.random_pure(10, 900)
     t0 = time.perf_counter()
@@ -204,12 +213,9 @@ def test_criterion_10_performance():
     t_report = time.perf_counter() - t0
 
     psi6 = mq.random_pure(6, 901)
-    t0 = time.perf_counter()
-    mq.all_infos_fast(psi6)
-    t_fast = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    mq.all_infos_enumerated(psi6)
-    t_enum = time.perf_counter() - t0
+    # best of five calls each, so one slow call on a busy host decides nothing
+    t_fast = _best_time(mq.all_infos_fast, psi6)
+    t_enum = _best_time(mq.all_infos_enumerated, psi6)
 
     ok = t_report < 10.0 and t_fast < t_enum
     _report("10 performance", ok,

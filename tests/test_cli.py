@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import mqinfo as mq
-from mqinfo.cli import main
+from mqinfo.cli import build_parser, main
+from mqinfo.identities import IDENTITIES, MIXED_IDENTITIES, PURE_IDENTITIES, applicable
 
 
 class TestReport:
@@ -107,7 +108,7 @@ class TestFuzz:
             path = tmp_path / f"w_{row['identity']}.json"
             assert row["witness_path"] == str(path)
             worst = mq.random_pure(3, row["worst_seed"])
-            assert np.allclose(mq.load_state(path).amplitudes, worst.amplitudes, rtol=0, atol=1e-15)
+            assert np.array_equal(mq.load_state(path).amplitudes, worst.amplitudes)
         assert not witness.exists()
 
     def test_eq20_needs_n4(self, capsys):
@@ -168,15 +169,24 @@ class TestMixedCheck:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("m", ["6", "7"])
-    def test_random_without_identity_exit_2(self, m, capsys):
-        assert main(["mixed-check", "--random", "--m", m, "--trials", "1"]) == 2
+    def test_random_total_info_only(self, m, capsys):
+        assert main(["mixed-check", "--random", "--m", m, "--trials", "3",
+                     "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["identity"] for r in rows] == ["eq23"]
+        assert rows[0]["passed"] is True and rows[0]["min_margin"] >= -1e-9
+
+    def test_random_size_limit_exit_2(self, capsys):
+        assert main(["mixed-check", "--random", "--m", "8", "--trials", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: no mixed-state identity applies to m={m}\n"
+        assert captured.err == "error: qubit count 8 outside [1, 7]\n"
 
-    def test_rho_without_identity_exit_2(self, capsys):
-        assert main(["mixed-check", "--rho", "maximally-mixed:6"]) == 2
-        assert "no mixed-state identity applies to m=6" in capsys.readouterr().err
+    def test_rho_total_info_only(self, capsys):
+        assert main(["mixed-check", "--rho", "maximally-mixed:6", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["identity"] for r in rows] == ["mixed-total-info"]
+        assert rows[0]["context"]["margin"] == pytest.approx(63, abs=1e-12)
 
     def test_random_json_names_witness(self, tmp_path, capsys):
         witness = tmp_path / "w2.json"
@@ -196,6 +206,106 @@ class TestMixedCheck:
         with pytest.raises(SystemExit) as exc:
             main(["mixed-check"])
         assert exc.value.code == 2
+
+
+class TestTolerance:
+    COMMANDS = [
+        ["report", "--state", "ghz:3"],
+        ["fuzz", "--n", "3", "--trials", "2"],
+        ["mixed-check", "--random", "--m", "3", "--trials", "2"],
+        ["mixed-check", "--rho", "maximally-mixed:2"],
+    ]
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: "-".join(a[:2]))
+    def test_bad_tolerance_exit_2(self, argv, tol, capsys):
+        assert main(argv + ["--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --tol must be a finite number >= 0")
+        assert captured.err.count("\n") == 1
+
+    def test_zero_tolerance_is_legal(self, capsys):
+        assert main(["report", "--state", "basis-product:3", "--tol", "0", "--format", "json"]) == 0
+        assert all(r["tolerance"] == 0 for r in json.loads(capsys.readouterr().out)["identities"])
+
+
+# the paper's applicability rules and report names, written out independently
+PURE_RULES = {
+    "eq1b": ("complementarity", lambda n: True),
+    "eq14": ("single-partition", lambda n: n >= 2),
+    "eq20": ("pair-partition", lambda n: n >= 4),
+    "eq12": ("four-qubit-tangle", lambda n: n == 4),
+    "eq26": ("four-qubit-combination", lambda n: n == 4),
+}
+MIXED_RULES = {
+    "eq24": ("mixed-pair", lambda m: m == 2),
+    "eq25": ("mixed-triple", lambda m: m == 3),
+    "eq23": ("mixed-total-info", lambda m: True),
+}
+
+
+def _distinct(names):
+    return list(dict.fromkeys(names))
+
+
+class TestRegistry:
+    def test_table_order(self):
+        assert list(IDENTITIES) == [*PURE_RULES, *MIXED_RULES]
+        assert PURE_IDENTITIES == tuple(PURE_RULES)
+        assert MIXED_IDENTITIES == tuple(MIXED_RULES)
+
+    def test_fuzz_choices_are_the_pure_identities(self):
+        fuzz_parser = build_parser()._subparsers._group_actions[0].choices["fuzz"]
+        [action] = [a for a in fuzz_parser._actions if a.dest == "identity"]
+        assert tuple(action.choices) == ("all",) + PURE_IDENTITIES
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_report_and_fuzz_run_the_applicable_pure_identities(self, n, capsys):
+        want = [name for name, (_, applies) in PURE_RULES.items() if applies(n)]
+        assert applicable("pure", n) == want
+        assert main(["report", "--state", f"basis-product:{n}", "--format", "json"]) == 0
+        ran = _distinct(r["identity"] for r in json.loads(capsys.readouterr().out)["identities"])
+        assert ran == [PURE_RULES[name][0] for name in want]
+        assert main(["fuzz", "--n", str(n), "--trials", "1", "--format", "json"]) == 0
+        assert [r["identity"] for r in json.loads(capsys.readouterr().out)] == want
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_mixed_check_runs_the_applicable_mixed_identities(self, m, capsys):
+        want = [name for name, (_, applies) in MIXED_RULES.items() if applies(m)]
+        assert applicable("mixed", m) == want
+        assert main(["mixed-check", "--rho", f"maximally-mixed:{m}", "--format", "json"]) == 0
+        ran = [r["identity"] for r in json.loads(capsys.readouterr().out)]
+        assert ran == [MIXED_RULES[name][0] for name in want]
+        assert main(["mixed-check", "--random", "--m", str(m), "--trials", "1",
+                     "--format", "json"]) == 0
+        assert [r["identity"] for r in json.loads(capsys.readouterr().out)] == want
+
+    @pytest.mark.parametrize("tol", ["1e-9", "1e-14"])
+    def test_all_equals_each_identity_alone(self, tol, tmp_path, capsys):
+        # one state and one table per trial must not change any identity's summary
+        common = ["--n", "4", "--trials", "12", "--seed", "5", "--tol", tol,
+                  "--format", "json", "--out", str(tmp_path / "w.json")]
+        main(["fuzz", *common])
+        together = {r["identity"]: r for r in json.loads(capsys.readouterr().out)}
+        assert list(together) == applicable("pure", 4)
+        for name, row in together.items():
+            main(["fuzz", *common, "--identity", name])
+            [alone] = json.loads(capsys.readouterr().out)
+            for key in ("max_residual", "worst_seed", "failures"):
+                assert alone[key] == row[key], (name, key)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("tol", ["1e-9", "1e-17"])
+    def test_mixed_all_equals_each_identity_alone(self, m, tol, tmp_path, capsys):
+        main(["mixed-check", "--random", "--m", str(m), "--trials", "12", "--seed", "5",
+              "--tol", tol, "--format", "json", "--out", str(tmp_path / "w.json")])
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["identity"] for r in rows] == applicable("mixed", m)
+        for row in rows:
+            [alone] = mq.fuzz([row["identity"]], m, 12, 5, float(tol))
+            for key in ("max_residual", "min_margin", "worst_seed", "failures"):
+                assert alone[key] == row[key], (row["identity"], key)
 
 
 class TestBench:

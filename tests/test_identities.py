@@ -222,7 +222,7 @@ class TestMixedTotalInfo:
     def test_maximally_mixed_margin(self):
         # every expectation vanishes, so each size >= 2 subset contributes -1:
         # total = -(2^m - 1 - m), margin = 2^m - 1
-        for m in (2, 3):
+        for m in (2, 3, 6, 7):
             rho = mq.MixedState(m, np.eye(2**m, dtype=complex) / 2**m)
             rep = mq.mixed_total_info_margin(rho)
             assert rep.lhs == pytest.approx(-(2**m - 1 - m), abs=1e-12)
@@ -236,12 +236,9 @@ class TestMixedTotalInfo:
         for seed in range(10):
             rep = mq.mixed_total_info_margin(mq.random_mixed(3, 4, seed))
             assert rep.context["margin"] >= -1e-9
-
-    def test_size_limit(self):
-        with pytest.raises(ValueError, match="m <= 5"):
-            mq.mixed_total_info_margin(
-                mq.MixedState(6, np.eye(64, dtype=complex) / 64)
-            )
+        for m in (6, 7):
+            rep = mq.mixed_total_info_margin(mq.random_mixed(m, 5, m))
+            assert rep.passed and rep.context["margin"] >= -1e-9
 
 
 class TestReportStructure:
@@ -268,38 +265,46 @@ class TestFuzzDriver:
         assert derive_seed(7, 3) != derive_seed(8, 3)
 
     def test_pure_fuzz_summary(self):
-        s = mq.fuzz_pure_identity("eq1b", 3, 10, 5)
+        [s] = mq.fuzz(["eq1b"], 3, 10, 5)
         assert s["passed"]
         assert s["max_residual"] <= 1e-9
         assert s["worst_seed"] in [derive_seed(5, t) for t in range(10)]
 
     def test_pure_fuzz_reproducible(self):
-        a = mq.fuzz_pure_identity("eq14", 3, 8, 2)
-        b = mq.fuzz_pure_identity("eq14", 3, 8, 2)
+        [a] = mq.fuzz(["eq14"], 3, 8, 2)
+        [b] = mq.fuzz(["eq14"], 3, 8, 2)
         assert a["max_residual"] == b["max_residual"]
         assert a["worst_seed"] == b["worst_seed"]
 
     def test_mixed_fuzz_rank_sweep(self):
-        s = mq.fuzz_mixed_identity("eq24", 2, None, 16, 1)
+        [s] = mq.fuzz(["eq24"], 2, 16, 1)
         assert s["passed"]
         assert s["max_residual"] <= 1e-10
 
     def test_mixed_pair_gate_is_fixed(self):
         # --tol (default 1e-9) never loosens the mixed-pair gate
-        assert mq.fuzz_mixed_identity("eq24", 2, None, 4, 0)["tolerance"] == MIXED_PAIR_TOL == 1e-10
-        assert mq.fuzz_mixed_identity("eq24", 2, None, 4, 0, tol=1e-12)["tolerance"] == 1e-12
+        assert mq.fuzz(["eq24"], 2, 4, 0)[0]["tolerance"] == MIXED_PAIR_TOL == 1e-10
+        assert mq.fuzz(["eq24"], 2, 4, 0, tol=1e-12)[0]["tolerance"] == 1e-12
         assert mq.residual_mixed_pair(mq.random_mixed(2, 2, 0), tol=1e-6).tolerance == 1e-10
 
     def test_eq12_requires_n4(self):
-        with pytest.raises(ValueError, match="n = 4"):
-            mq.fuzz_pure_identity("eq12", 3, 5, 0)
+        with pytest.raises(ValueError, match="eq12 requires --n 4"):
+            mq.fuzz(["eq12"], 3, 5, 0)
+
+    @pytest.mark.parametrize(
+        "names, match",
+        [(["eq99"], "unknown identity"), ([], "one kind"), (["eq1b", "eq23"], "one kind")],
+    )
+    def test_bad_names(self, names, match):
+        with pytest.raises(ValueError, match=match):
+            mq.fuzz(names, 2, 3, 0)
 
     @pytest.mark.parametrize("trials", [0, -1, MAX_TRIALS + 1])
     def test_trial_count_out_of_range(self, trials):
         with pytest.raises(ValueError, match="trials"):
-            mq.fuzz_pure_identity("eq1b", 3, trials, 0)
+            mq.fuzz(["eq1b"], 3, trials, 0)
         with pytest.raises(ValueError, match="trials"):
-            mq.fuzz_mixed_identity("eq24", 2, None, trials, 0)
+            mq.fuzz(["eq24"], 2, trials, 0)
 
     def test_seeds_distinct_up_to_max_trials(self):
         assert derive_seed(0, MAX_TRIALS - 1) < derive_seed(1, 0)
