@@ -16,7 +16,9 @@ Two routes exist for the information values:
     floor(n/2)-qubit reduced matrices formed from the amplitudes and the
     smaller ones traced down from them, and recovers every exact-support
     sum with an in-place fast Moebius transform: n axis-wise subtractions
-    over the 2^n purity array, O(n 2^n) work.
+    over the 2^n purity array, O(n 2^n) work.  ``info_values`` runs it on
+    a stack of states at once (the fuzz driver's chunks); ``all_infos_fast``
+    is its one-state call.
 """
 
 from dataclasses import dataclass, field
@@ -187,30 +189,38 @@ def all_infos_enumerated(psi):
 # fast route: subset purities + fast Moebius inversion
 # ---------------------------------------------------------------------------
 
-def all_infos_fast(psi):
-    """Complete InfoTable from subset purities.
+def info_values(amps):
+    """I_S and tr(rho_S^2) of every pure state in a (B, 2^n) amplitude stack.
 
-    For each subset S let G(S) = 2^|S| tr(rho_S^2), with G of the empty set
-    equal to 1.  The Bloch decomposition of rho_S gives G(S) = sum of F(T)
-    over T within S, F(T) being the sum of squared expectations of the
-    Pauli strings supported exactly on T.  F is recovered by Moebius
-    inversion, one in-place subtraction per qubit axis of G reshaped to
-    (2,)*n.  The purities come from ``pure_subset_purities``: one per
-    complementary pair, taken on the side with |S| <= n/2, and the full
-    set's from the amplitudes, so a normalisation error shows in the
-    complementarity sum.
+    Returns (values, purities), both (B, 2^n) with row b indexed by subset
+    mask like an InfoTable.  For each subset S let G(S) = 2^|S| tr(rho_S^2),
+    with G of the empty set equal to 1.  The Bloch decomposition of rho_S
+    gives G(S) = sum of F(T) over T within S, F(T) being the sum of squared
+    expectations of the Pauli strings supported exactly on T.  F is
+    recovered by Moebius inversion, one in-place subtraction per qubit axis
+    of G reshaped to (B,) + (2,)*n.  The purities come from
+    ``pure_subset_purities``: one per complementary pair, taken on the side
+    with |S| <= n/2, and the full set's from the amplitudes, so a
+    normalisation error shows in the complementarity sum.  Each row equals
+    the one-state result bit for bit.
     """
-    n = psi.num_qubits
-    purities = pure_subset_purities(psi)
+    n = amps.shape[1].bit_length() - 1
+    purities = pure_subset_purities(amps)
     _, sizes = subset_index(n)
     f = np.ldexp(purities, sizes)
-    cube = f.reshape((2,) * n)
-    for axis in range(n):
+    cube = f.reshape((-1,) + (2,) * n)
+    for axis in range(1, n + 1):
         lead = (slice(None),) * axis
         cube[lead + (1,)] -= cube[lead + (0,)]
-    f[sizes >= 2] -= 1.0
-    f[0] = 0.0
-    return InfoTable(n, f, purities)
+    f -= sizes >= 2  # 1 off every subset of two or more qubits
+    f[:, 0] = 0.0
+    return f, purities
+
+
+def all_infos_fast(psi):
+    """Complete InfoTable from subset purities: ``info_values`` of one state."""
+    values, purities = info_values(psi.amplitudes[None])
+    return InfoTable(psi.num_qubits, values[0], purities[0])
 
 
 def all_infos_mixed(rho):
@@ -258,15 +268,22 @@ def tau_linear_entropy(psi, subset, table=None):
     return 2.0 * (1.0 - pur)
 
 
-def n_tangle(psi):
-    """|<psi| sigma_y^n |psi*>|^2 for even qubit count."""
-    n = psi.num_qubits
+def n_tangles(amps):
+    """|<psi| sigma_y^n |psi*>|^2 of every state in a (B, 2^n) stack, n even."""
+    n = amps.shape[1].bit_length() - 1
     if n % 2 != 0:
         raise ValueError(f"n-tangle requires an even qubit count, got {n}")
     # sigma_y^n |b> = i^n (-1)^popcount(b) |~b>, and ~b reverses the index
-    a = psi.amplitudes
     _, sizes = subset_index(n)
-    return float(abs(np.sum((1.0 - 2.0 * (sizes & 1)) * a * a[::-1])) ** 2)
+    sums = np.sum((1.0 - 2.0 * (sizes & 1)) * amps * amps[:, ::-1], axis=1)
+    # scalar abs and ** round like a single state's value; numpy's array abs
+    # and square differ from them in the last bit
+    return np.array([abs(c) ** 2 for c in sums])
+
+
+def n_tangle(psi):
+    """|<psi| sigma_y^n |psi*>|^2 for even qubit count."""
+    return float(n_tangles(psi.amplitudes[None])[0])
 
 
 def concurrence_sq_2q(psi):

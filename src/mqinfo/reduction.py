@@ -3,7 +3,9 @@
 Reduced matrices keep qubits in ascending original index.  The pure-state
 partial trace contracts amplitudes directly (never forms the full density
 matrix), and the all-subset purity pass derives small reduced matrices from
-larger ones, which is what makes the fast path cheap.
+larger ones, which is what makes the fast path cheap.  The pass takes a
+stack of states, one per row, and runs several small states through each
+matrix product together.
 """
 
 from functools import cache
@@ -75,7 +77,8 @@ def subset_purity(psi, keep):
     return float(np.sum(np.abs(gram) ** 2))
 
 
-# amplitudes gathered per batch of Schmidt blocks in pure_subset_purities
+# amplitudes gathered per batch of Schmidt blocks in pure_subset_purities;
+# it also bounds the chunks of states the fuzz driver stacks
 _BATCH_AMPLITUDES = 1 << 13
 
 
@@ -86,15 +89,17 @@ def _leading_run(axes):
 
 @cache
 def _purity_plan(n):
-    """The batches of ``pure_subset_purities`` for n qubits, built once per n.
+    """How ``pure_subset_purities`` runs for n qubits, built once per n.
 
-    Each batch is (rows, cols, levels, masks).  ``rows | cols`` indexes the
-    amplitudes into the batch's Schmidt blocks, one per floor(n/2)-qubit
-    subset.  ``levels`` holds, per smaller subset size, (count, dim, groups);
-    a group (parents, lo, hi) traces qubit q out of the first ``parents``
-    matrices of the level above, lo = 2^(q-1) and hi being the dimensions
-    of the factors before and after it.  ``masks`` gives every matrix's
-    subset, in order.
+    Returns (batches, masks, stack).  Each batch is (rows, cols, levels).
+    ``rows | cols`` indexes the amplitudes into the batch's Schmidt blocks,
+    one per floor(n/2)-qubit subset.  ``levels`` holds, per smaller subset
+    size, (count, dim, groups); a group (parents, lo, hi) traces qubit q out
+    of the first ``parents`` matrices of the level above, lo = 2^(q-1) and
+    hi being the dimensions of the factors before and after it.  ``masks``
+    gives every matrix's subset, batch after batch.  ``stack`` is how many
+    states go through the batches together: as many as keep all their
+    Schmidt blocks within ``_BATCH_AMPLITUDES``, and at least one.
 
     A subset holding qubits 1..r (not r+1) is the parent of one child per
     q <= r, the subset without qubit q, which holds 1..q-1 and not q.  With
@@ -106,7 +111,7 @@ def _purity_plan(n):
     tops.sort(key=_leading_run, reverse=True)
     index = np.arange(1 << n).reshape((2,) * n)
     step = max(1, _BATCH_AMPLITUDES >> n)
-    plan = []
+    batches, masks = [], []
     for start in range(0, len(tops), step):
         level = subsets = tops[start : start + step]
         blocks = np.array([
@@ -123,47 +128,67 @@ def _purity_plan(n):
                 break
             levels.append((len(level), 1 << (k - 1), groups))
             subsets = subsets + level
-        masks = np.array([sum(1 << a for a in s) for s in subsets], dtype=np.intp)
-        plan.append((blocks[:, :, :1].copy(), blocks[:, :1, :].copy(), levels, masks))
-    return plan
+        masks += [sum(1 << a for a in s) for s in subsets]
+        batches.append((blocks[:, :, :1].copy(), blocks[:, :1, :].copy(), levels))
+    stack = max(1, _BATCH_AMPLITUDES // max(1, len(tops) << n))
+    return batches, np.array(masks, dtype=np.intp), stack
 
 
-def pure_subset_purities(psi):
-    """tr(rho_S^2) for every qubit subset S of a pure state, indexed by mask.
+def pure_subset_purities(amps):
+    """tr(rho_S^2) for every qubit subset S of each pure state in a stack.
 
-    Bit (i-1) of the index stands for qubit i; entry 0, the empty set, is 1.
-    Only the |S| = floor(n/2) subsets (those holding qubit 1 when n is even)
-    take a Schmidt-block gram of the amplitudes, a batch of blocks per
-    matrix product.  Every smaller subset's reduced matrix is its parent's
-    partial trace over one qubit, the parent being S plus the lowest qubit
-    S lacks, so each subset is reached once; the traces run one subset size
-    at a time over a whole batch.  A larger subset takes its complement's
-    purity (equal for a pure state), except the full set, whose
-    tr(rho^2) = <psi|psi>^2 comes from the amplitudes so a normalisation
-    error stays visible.
+    ``amps`` is a (B, 2^n) array of normalized amplitude vectors; the result
+    is (B, 2^n), row b indexed by subset mask, bit (i-1) standing for qubit
+    i, with entry 0, the empty set, equal to 1.  Only the |S| = floor(n/2)
+    subsets (those holding qubit 1 when n is even) take a Schmidt-block
+    gram of the amplitudes, a batch of blocks per matrix product.  Every
+    smaller subset's reduced matrix is its parent's partial trace over one
+    qubit, the parent being S plus the lowest qubit S lacks, so each subset
+    is reached once; the traces run one subset size at a time over a whole
+    batch.  A larger subset takes its complement's purity (equal for a pure
+    state), except the full set, whose tr(rho^2) = <psi|psi>^2 comes from
+    the amplitudes, one vdot per state, so a normalisation error stays
+    visible.
+
+    The states go through the batches of ``_purity_plan(n)`` several at a
+    time, as many as keep all their Schmidt blocks within
+    ``_BATCH_AMPLITUDES``; from n = 8 up one state's blocks fill that
+    budget, so each state runs alone.  Every row equals the one-state
+    result bit for bit.
     """
-    n = psi.num_qubits
-    amps = psi.amplitudes
-    full = (1 << n) - 1
-    purities = np.empty(1 << n)
-    purities[0] = 1.0
-    purities[full] = float(np.vdot(amps, amps).real) ** 2
-    for rows, cols, levels, masks in _purity_plan(n):
-        blocks = amps[rows | cols]
-        stacks = [blocks @ blocks.conj().transpose(0, 2, 1)]
-        for count, dim, groups in levels:
-            stack = stacks[-1]
-            kids = np.empty((count, dim, dim), dtype=np.complex128)
-            at = 0
-            for parents, lo, hi in groups:
-                t = stack[:parents].reshape(parents, lo, 2, hi, lo, 2, hi)
-                out = kids[at : at + parents].reshape(parents, lo, hi, lo, hi)
-                np.add(t[:, :, 0, :, :, 0], t[:, :, 1, :, :, 1], out=out)
-                at += parents
-            stacks.append(kids)
-        flat = [s.reshape(len(s), -1).view(np.float64) for s in stacks]
-        vals = np.concatenate([np.vecdot(f, f) for f in flat])
-        purities[masks] = purities[full ^ masks] = vals
+    count, dim = amps.shape
+    n = dim.bit_length() - 1
+    full = dim - 1
+    batches, masks, step = _purity_plan(n)
+    purities = np.empty((count, dim))
+    purities[:, 0] = 1.0
+    for row, vec in zip(purities, amps):
+        row[full] = float(np.vdot(vec, vec).real) ** 2
+    if not batches:  # one qubit: only the empty and the full set
+        return purities
+    for start in range(0, count, step):
+        stack = amps[start : start + step]
+        b = len(stack)
+        vals = []
+        for rows, cols, levels in batches:
+            # blocks ordered (subset, state), so a level's leading subsets
+            # are one slice for every state; no copy for a single state
+            blocks = np.take(stack, rows | cols, axis=1).swapaxes(0, 1)
+            blocks = np.ascontiguousarray(blocks).reshape(-1, *blocks.shape[2:])
+            mats = [blocks @ blocks.conj().transpose(0, 2, 1)]
+            for size, side, groups in levels:
+                parent = mats[-1]
+                kids = np.empty((size * b, side, side), dtype=np.complex128)
+                at = 0
+                for parents, lo, hi in groups:
+                    t = parent[: parents * b].reshape(parents * b, lo, 2, hi, lo, 2, hi)
+                    out = kids[at : at + parents * b].reshape(parents * b, lo, hi, lo, hi)
+                    np.add(t[:, :, 0, :, :, 0], t[:, :, 1, :, :, 1], out=out)
+                    at += parents * b
+                mats.append(kids)
+            vals += [np.vecdot(f, f) for f in (m.reshape(len(m), -1).view(np.float64) for m in mats)]
+        vals = np.concatenate(vals).reshape(-1, b).T
+        purities[start : start + b, masks] = purities[start : start + b, full ^ masks] = vals
     return purities
 
 

@@ -19,6 +19,15 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 
 
+def _check_normalized(amps):
+    """Raise ValueError unless every amplitude vector (last axis) is finite with norm 1."""
+    if not np.isfinite(amps).all():
+        raise ValueError("amplitudes must be finite (no NaN or inf)")
+    err = np.max(np.abs(np.linalg.norm(amps, axis=-1) - 1.0))
+    if err > NORM_TOL_INTERNAL:
+        raise ValueError(f"state not normalized: |norm-1| = {err:.3e}")
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized amplitude vector over ``num_qubits`` qubits."""
@@ -33,11 +42,7 @@ class PureState:
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (2**n,):
             raise ValueError(f"expected {2**n} amplitudes, got {amps.shape}")
-        if not np.isfinite(amps).all():
-            raise ValueError("amplitudes must be finite (no NaN or inf)")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL_INTERNAL:
-            raise ValueError(f"state not normalized: |norm-1| = {abs(norm - 1.0):.3e}")
+        _check_normalized(amps)
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -134,11 +139,25 @@ def make_named(family, n):
 
 def random_pure(n, seed):
     """Haar-random pure state: normalized i.i.d. standard complex Gaussian vector."""
+    return PureState(n, random_pure_stack(n, [seed])[0])
+
+
+def random_pure_stack(n, seeds):
+    """Amplitudes of ``random_pure(n, seed)`` for each seed, as rows of a
+    (len(seeds), 2^n) array, checked like a PureState but not wrapped in one."""
     if not (1 <= n <= MAX_QUBITS):
         raise ValueError(f"qubit count {n} outside [1, {MAX_QUBITS}]")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-    return PureState(n, v / np.linalg.norm(v))
+    draws = np.empty((len(seeds), 2, 2**n))
+    for row, seed in zip(draws, seeds):
+        rng = np.random.default_rng(seed)
+        rng.standard_normal(out=row[0])
+        rng.standard_normal(out=row[1])
+    v = draws[:, 0] + 1j * draws[:, 1]
+    # the norm np.linalg.norm takes of one complex vector, row by row
+    norms = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+    stack = v / norms[:, None]
+    _check_normalized(stack)
+    return stack
 
 
 def random_mixed(m, rank, seed):

@@ -319,4 +319,10 @@ class TestBench:
 
     def test_large_skips_enumeration(self, capsys):
         assert main(["bench", "--n", "8"]) == 0
-        assert "skipped" in capsys.readouterr().out
+        assert "skipped (n > 7)" in capsys.readouterr().out
+
+    def test_enumerates_up_to_the_oracle_limit(self, capsys):
+        # the oracle accepts n <= MAX_MIXED_QUBITS = 7
+        assert main(["bench", "--n", "7"]) == 0
+        out = capsys.readouterr().out
+        assert "enumeration route n=7" in out and "skipped" not in out

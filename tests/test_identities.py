@@ -308,3 +308,151 @@ class TestFuzzDriver:
 
     def test_seeds_distinct_up_to_max_trials(self):
         assert derive_seed(0, MAX_TRIALS - 1) < derive_seed(1, 0)
+
+
+class TestLibraryTolerance:
+    BAD = [float("inf"), float("nan"), -1.0]
+
+    @pytest.mark.parametrize("tol", BAD)
+    def test_fuzz_rejects(self, tol):
+        with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+            mq.fuzz(["eq1b", "eq14"], 3, 2, 0, tol=tol)
+        with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+            mq.fuzz(["eq24", "eq23"], 2, 2, 0, tol=tol)
+
+    @pytest.mark.parametrize("tol", BAD)
+    def test_checkers_reject(self, tol, w4):
+        rho2, rho3 = mq.random_mixed(2, 2, 0), mq.random_mixed(3, 2, 0)
+        calls = [
+            lambda: mq.residual_complementarity(w4, tol=tol),
+            lambda: mq.residual_single_partition(w4, 1, tol=tol),
+            lambda: mq.residual_pair_partition(w4, (1, 2), tol=tol),
+            lambda: mq.residual_tangle_relation_4q(w4, tol=tol),
+            lambda: mq.residual_combination_4q(w4, tol=tol),
+            lambda: mq.residual_mixed_pair(rho2, tol=tol),
+            lambda: mq.residual_mixed_triple(rho3, tol=tol),
+            lambda: mq.mixed_total_info_margin(rho3, tol=tol),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+                call()
+
+    def test_zero_is_legal(self):
+        assert mq.residual_complementarity(mq.make_named("basis-product", 3), tol=0.0).passed
+        assert mq.fuzz(["eq1b"], 3, 2, 0, tol=0.0)[0]["tolerance"] == 0.0
+
+
+class TestInequalitySummary:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+    def test_strict_inequality_reports_no_violation(self, m):
+        # a rank-2 state has I_total < m, so nothing is violated; the slack
+        # m - I_total is not a residual
+        [s] = mq.fuzz(["eq23"], m, 6, m, rank=2)
+        assert s["max_residual"] == 0.0
+        assert s["min_margin"] > 0
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_max_residual_is_largest_violation(self, m):
+        [s] = mq.fuzz(["eq23"], m, 2**m * 3, 4)
+        assert s["max_residual"] == max(0.0, -s["min_margin"])
+        assert s["max_residual"] <= 1e-12
+
+
+def _loop_summaries(names, n, trials, base_seed, tol):
+    """Reference: one state per trial through the public one-state checkers."""
+    from itertools import combinations
+
+    def reports(name, psi, table):
+        if name == "eq1b":
+            return [mq.residual_complementarity(psi, table, tol)]
+        if name == "eq14":
+            return [mq.residual_single_partition(psi, k, table, tol) for k in range(1, n + 1)]
+        if name == "eq20":
+            return [
+                mq.residual_pair_partition(psi, p, table, tol)
+                for p in combinations(range(1, n + 1), 2)
+            ]
+        if name == "eq12":
+            return [mq.residual_tangle_relation_4q(psi, table, tol)]
+        return [mq.residual_combination_4q(psi, table, tol)]
+
+    out = {name: {"max_residual": 0.0, "failures": 0, "worst_seed": None} for name in names}
+    for trial in range(trials):
+        seed = derive_seed(base_seed, trial)
+        psi = mq.random_pure(n, seed)
+        table = mq.all_infos_fast(psi)
+        for name in names:
+            s = out[name]
+            for rep in reports(name, psi, table):
+                if s["worst_seed"] is None or abs(rep.residual) > s["max_residual"]:
+                    s["worst_seed"] = seed
+                s["max_residual"] = max(s["max_residual"], abs(rep.residual))
+                s["failures"] += not rep.passed
+    return out
+
+
+class TestBatchedEngine:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_stacked_tables_equal_per_state(self, n):
+        from mqinfo.measures import info_values
+        from mqinfo.statekit import random_pure_stack
+
+        # at n = 4 and 5 the stack spans several purity passes
+        seeds = [derive_seed(n, t) for t in range(max(3, min(300, 2**13 >> n)))]
+        amps = random_pure_stack(n, seeds)
+        values, purities = info_values(amps)
+        for row, seed in enumerate(seeds):
+            psi = mq.random_pure(n, seed)
+            table = mq.all_infos_fast(psi)
+            assert np.array_equal(amps[row], psi.amplitudes)
+            assert np.array_equal(values[row], table.values)
+            assert np.array_equal(purities[row], table.purities)
+
+    def test_stack_rows_are_the_seeded_draws(self):
+        from mqinfo.statekit import random_pure_stack
+
+        seeds = [0, 1, derive_seed(3, 5), 2**40]
+        for n in (1, 4, 9):
+            for seed, row in zip(seeds, random_pure_stack(n, seeds)):
+                rng = np.random.default_rng(seed)
+                v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+                assert np.array_equal(row, v / np.linalg.norm(v))
+
+    def test_stack_is_validated(self, monkeypatch):
+        from mqinfo import statekit
+
+        monkeypatch.setattr(statekit, "NORM_TOL_INTERNAL", -1.0)
+        with pytest.raises(ValueError, match="not normalized"):
+            statekit.random_pure_stack(3, [0, 1])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("tol", [1e-9, 1e-30])
+    def test_fuzz_matches_per_trial_loop(self, n, tol):
+        names = mq.applicable("pure", n)
+        trials = 24 if n <= 6 else 6
+        loop = _loop_summaries(names, n, trials, 9, tol)
+        gate = 8 * 2**n * np.finfo(float).eps
+        for s in mq.fuzz(names, n, trials, 9, tol):
+            ref = loop[s["identity"]]
+            assert abs(s["max_residual"] - ref["max_residual"]) <= gate
+            assert s["failures"] == ref["failures"]
+            assert s["passed"] == (ref["failures"] == 0)
+
+    def test_worst_case_across_chunks(self):
+        # 1,100 trials at n = 4 span three chunks of states
+        names = mq.applicable("pure", 4)
+        loop = _loop_summaries(names, 4, 1100, 3, 1e-9)
+        for s in mq.fuzz(names, 4, 1100, 3):
+            ref = loop[s["identity"]]
+            assert s["worst_seed"] == ref["worst_seed"]
+            assert s["max_residual"] == ref["max_residual"]
+            assert isinstance(s["worst_state"], mq.PureState)
+            reloaded = mq.state_from_json(mq.state_to_json(s["worst_state"]))
+            assert np.array_equal(reloaded.amplitudes, mq.random_pure(4, s["worst_seed"]).amplitudes)
+
+    def test_summary_keys(self):
+        [s] = mq.fuzz(["eq14"], 3, 4, 0)
+        assert set(s) == {
+            "identity", "n", "trials", "max_residual", "failures", "passed",
+            "worst_seed", "worst_state", "tolerance",
+        }
