@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -34,9 +35,9 @@ from .measures import (
 )
 from .statekit import (
     MAX_MIXED_QUBITS,
-    MAX_QUBITS,
     MixedState,
     PureState,
+    _check_qubit_count,
     load_state,
     make_named,
     save_state,
@@ -53,8 +54,7 @@ def _resolve_pure(spec):
         raise ValueError(f"bad state spec {spec!r}; want family:n or file:path")
     family, _, count = spec.partition(":")
     n = int(count)
-    if not (1 <= n <= MAX_QUBITS):
-        raise ValueError(f"qubit count {n} outside [1, {MAX_QUBITS}]")
+    _check_qubit_count(n)
     return make_named(family, n)
 
 
@@ -67,6 +67,7 @@ def _resolve_mixed(spec):
     family, _, count = spec.partition(":")
     if family == "maximally-mixed":
         m = int(count)
+        _check_qubit_count(m, MAX_MIXED_QUBITS)  # before the identity matrix is built
         return MixedState(m, np.eye(2**m, dtype=np.complex128) / 2**m)
     raise ValueError(f"bad density spec {spec!r}; want maximally-mixed:m or file:path")
 
@@ -271,7 +272,9 @@ def cmd_bench(args):
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser():
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="mqinfo",
         description="Multi-qubit information measures and monogamy identity checks",

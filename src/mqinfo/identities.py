@@ -41,7 +41,14 @@ from .measures import (
     subset_index,
 )
 from .reduction import _BATCH_AMPLITUDES, partial_trace, pure_subset_purities, purity, tilde_overlap
-from .statekit import PureState, random_mixed, random_pure_stack
+from .statekit import (
+    MAX_MIXED_QUBITS,
+    MAX_QUBITS,
+    PureState,
+    _check_qubit_count,
+    random_mixed_states,
+    random_pure_stack,
+)
 
 EQ_TOL = 1e-9
 INEQ_TOL = 1e-9
@@ -407,10 +414,11 @@ def _pure_chunk(idents, n, seeds, tol):
 
 def _mixed_chunk(idents, m, seeds, tol, rank, first_trial):
     """``_pure_chunk`` for density matrices, checked one state at a time."""
-    states = [
-        random_mixed(m, rank if rank is not None else (trial % (2**m)) + 1, seed)
-        for trial, seed in enumerate(seeds, first_trial)
+    ranks = [
+        rank if rank is not None else (trial % (2**m)) + 1
+        for trial in range(first_trial, first_trial + len(seeds))
     ]
+    states = random_mixed_states(m, ranks, seeds)
     out = []
     for ident in idents:
         reps = [ident.check(state, None, tol) for state in states]
@@ -425,7 +433,8 @@ def _mixed_chunk(idents, m, seeds, tol, rank, first_trial):
 def fuzz(names, n, trials, base_seed, tol=EQ_TOL, rank=None):
     """Run the named identities over seeded random states; one summary each.
 
-    The names share one kind.  Trial t draws one state from seed
+    The names share one kind, and n is checked against that kind's qubit
+    limit (``MAX_QUBITS`` or ``MAX_MIXED_QUBITS``).  Trial t draws one state from seed
     ``derive_seed(base_seed, t)``: a Haar-random pure state on n qubits, or a
     random density matrix on n qubits of rank ``rank`` (None cycles through
     every rank 1..2^n across trials).  The trials run in chunks of states
@@ -457,6 +466,7 @@ def fuzz(names, n, trials, base_seed, tol=EQ_TOL, rank=None):
         raise ValueError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
     _check_tol(tol)
     pure = idents[0].kind == "pure"
+    _check_qubit_count(n, MAX_QUBITS if pure else MAX_MIXED_QUBITS)
     size = {"n": n} if pure else {"m": n, "rank": rank, "min_margin": None}
     summaries = [
         {"identity": name, **size, "trials": trials, "max_residual": 0.0, "failures": 0}

@@ -3,9 +3,19 @@ seeded random generation, and the JSON wire format.
 
 Index convention: qubit 1 is the most significant bit of the basis index,
 so |q1 q2 ... qn> maps to the integer q1*2^(n-1) + ... + qn.
+
+Random states draw what ``np.random.default_rng(seed)`` draws.  A list of
+non-negative integer seeds is seeded in one batch: numpy's own ``SeedSequence``
+hashing (entropy pool and ``generate_state``) runs as uint32 array steps over
+every seed at once, and PCG64's 128-bit seeding (inc = 2 initseq + 1, state =
+(inc + initstate) M + inc) puts one PCG64 per call into each seed's state.
+Any other seed, and every seed when a one-time check finds that the batch
+route differs from ``default_rng`` (a numpy whose seeding changed), goes to
+``default_rng`` itself.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -17,6 +27,11 @@ NORM_TOL_INTERNAL = 1e-12
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
+
+
+def _check_qubit_count(n, limit=MAX_QUBITS):
+    if not (1 <= n <= limit):
+        raise ValueError(f"qubit count {n} outside [1, {limit}]")
 
 
 def _check_normalized(amps):
@@ -37,8 +52,7 @@ class PureState:
 
     def __post_init__(self):
         n = self.num_qubits
-        if not (1 <= n <= MAX_QUBITS):
-            raise ValueError(f"qubit count {n} outside [1, {MAX_QUBITS}]")
+        _check_qubit_count(n)
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (2**n,):
             raise ValueError(f"expected {2**n} amplitudes, got {amps.shape}")
@@ -60,8 +74,7 @@ class MixedState:
 
     def __post_init__(self):
         m = self.num_qubits
-        if not (1 <= m <= MAX_MIXED_QUBITS):
-            raise ValueError(f"qubit count {m} outside [1, {MAX_MIXED_QUBITS}]")
+        _check_qubit_count(m, MAX_MIXED_QUBITS)
         mat = np.ascontiguousarray(self.matrix, dtype=np.complex128)
         dim = 2**m
         if mat.shape != (dim, dim):
@@ -88,8 +101,7 @@ class MixedState:
 # ---------------------------------------------------------------------------
 
 def pure_from_amplitudes(n, amps, renormalize=False):
-    if not (1 <= n <= MAX_QUBITS):
-        raise ValueError(f"qubit count {n} outside [1, {MAX_QUBITS}]")
+    _check_qubit_count(n)
     amps = np.asarray(amps, dtype=np.complex128)
     if amps.shape != (2**n,):
         raise ValueError(f"expected {2**n} amplitudes for n={n}, got shape {amps.shape}")
@@ -137,6 +149,136 @@ def make_named(family, n):
     raise ValueError(f"unknown family {family!r}; choose one of {NAMED_FAMILIES}")
 
 
+# ---------------------------------------------------------------------------
+# seeded random states
+# ---------------------------------------------------------------------------
+# The constants and steps of numpy's SeedSequence (a pool of 4 uint32 words)
+# and of its PCG64 seeding, as default_rng(seed) runs them.
+
+_POOL_SIZE = 4
+_HASH_POOL = (0x43B0D7E5, 0x931E8875)  # INIT_A, MULT_A: seed words into the pool
+_HASH_STATE = (0x8B51F9DD, 0x58F38DED)  # INIT_B, MULT_B: pool into generate_state
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)  # mix(x, y) = L x - R y
+_XSHIFT = np.uint32(16)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(init, mult, steps):
+    """(xor, multiplier) of each of ``steps`` hash steps: the running constant
+    starts at ``init`` and is multiplied by ``mult`` between the two uses."""
+    consts = [init]
+    for _ in range(steps):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    consts = np.array(consts, dtype=np.uint32)
+    return consts[:-1], consts[1:]
+
+
+_STATE_CONSTANTS = _hash_constants(*_HASH_STATE, 2 * _POOL_SIZE)
+
+
+@cache
+def _mix_plan(words):
+    """The hash constants SeedSequence.mix_entropy uses on ``words`` >= 4 seed
+    words: the pool fill, then per round the source and one constant pair for
+    each of the 4 destinations (an all-pairs round leaves its source as is)."""
+    xor, mult = _hash_constants(*_HASH_POOL, _POOL_SIZE * words)
+    fill = (xor[:_POOL_SIZE], mult[:_POOL_SIZE])
+    rounds = []
+    step = _POOL_SIZE
+    for src in range(_POOL_SIZE):  # each pool word into the three others
+        at = [step + d - (d > src) if d != src else step for d in range(_POOL_SIZE)]
+        rounds.append((src, xor[at], mult[at]))
+        step += 3
+    for src in range(_POOL_SIZE, words):  # each further seed word into all four
+        rounds.append((src, xor[step:step + 4], mult[step:step + 4]))
+        step += 4
+    return fill, rounds
+
+
+def _hashmix(values, xor, mult):
+    values = values ^ xor
+    values *= mult
+    values ^= values >> _XSHIFT
+    return values
+
+
+def _pcg_seeds(words):
+    """PCG64 (state, inc) of ``default_rng`` for each row of a (G, W >= 4)
+    uint32 array of seed words (least significant first, zero-padded)."""
+    fill, rounds = _mix_plan(words.shape[1])
+    pool = _hashmix(words[:, :_POOL_SIZE], *fill)
+    for src, xor, mult in rounds:
+        source = pool if src < _POOL_SIZE else words
+        hashed = _hashmix(source[:, src:src + 1], xor, mult)
+        hashed *= _MIX_R
+        mixed = pool * _MIX_L
+        mixed -= hashed
+        mixed ^= mixed >> _XSHIFT
+        if src < _POOL_SIZE:
+            mixed[:, src] = pool[:, src]
+        pool = mixed
+    # SeedSequence.generate_state(4, np.uint64): the pool cycled into 8 words
+    state = _hashmix(np.concatenate((pool, pool), axis=1), *_STATE_CONSTANTS)
+    seeded = []
+    for init_hi, init_lo, seq_hi, seq_lo in state.astype("<u4").view("<u8").tolist():
+        # PCG64's seeding: inc = 2 initseq + 1, state = (inc + initstate) M + inc
+        inc = ((seq_hi << 65) | (seq_lo << 1) | 1) & _MASK128
+        initstate = (init_hi << 64) | init_lo
+        seeded.append((((inc + initstate) * _PCG_MULT + inc) & _MASK128, inc))
+    return seeded
+
+
+def _pcg_generators(seeds):
+    """Yield one Generator per non-negative int seed, in ``default_rng(seed)``'s
+    starting state.  It is one Generator, reseeded: draw before advancing."""
+    by_words = {}  # seeds of up to 4 words hash as 4, zero-padded
+    for i, seed in enumerate(seeds):
+        by_words.setdefault(max(_POOL_SIZE, -(-seed.bit_length() // 32)), []).append(i)
+    seeded = [None] * len(seeds)
+    for words, at in by_words.items():
+        raw = b"".join(seeds[i].to_bytes(4 * words, "little") for i in at)
+        rows = np.frombuffer(raw, dtype="<u4").reshape(len(at), words)
+        for i, pair in zip(at, _pcg_seeds(rows)):
+            seeded[i] = pair
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for state, inc in seeded:
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+
+
+@cache
+def _batch_seeding_matches():
+    """Whether the batch route draws what default_rng draws, on seeds of 1, 2
+    and 5 words; checked once per process."""
+    seeds = [0, 2**32 + 7, 2**130 + 11]
+    try:
+        draws = [rng.standard_normal(4) for rng in _pcg_generators(seeds)]
+    except (KeyError, TypeError, ValueError):  # a PCG64 whose state layout changed
+        return False
+    return all(
+        np.array_equal(draw, np.random.default_rng(seed).standard_normal(4))
+        for draw, seed in zip(draws, seeds)
+    )
+
+
+def _seeded_generators(seeds):
+    """For each seed in turn, a Generator that draws what
+    ``np.random.default_rng(seed)`` draws; draw from it before taking the next."""
+    seeds = list(seeds)
+    if all(isinstance(s, (int, np.integer)) and s >= 0 for s in seeds) and _batch_seeding_matches():
+        yield from _pcg_generators([int(s) for s in seeds])
+    else:  # numpy's own route, and numpy's own errors for a bad seed
+        for seed in seeds:
+            yield np.random.default_rng(seed)
+
+
 def random_pure(n, seed):
     """Haar-random pure state: normalized i.i.d. standard complex Gaussian vector."""
     return PureState(n, random_pure_stack(n, [seed])[0])
@@ -145,13 +287,10 @@ def random_pure(n, seed):
 def random_pure_stack(n, seeds):
     """Amplitudes of ``random_pure(n, seed)`` for each seed, as rows of a
     (len(seeds), 2^n) array, checked like a PureState but not wrapped in one."""
-    if not (1 <= n <= MAX_QUBITS):
-        raise ValueError(f"qubit count {n} outside [1, {MAX_QUBITS}]")
+    _check_qubit_count(n)
     draws = np.empty((len(seeds), 2, 2**n))
-    for row, seed in zip(draws, seeds):
-        rng = np.random.default_rng(seed)
-        rng.standard_normal(out=row[0])
-        rng.standard_normal(out=row[1])
+    for row, rng in zip(draws, _seeded_generators(seeds)):
+        rng.standard_normal(out=row)  # the real parts, then the imaginary parts
     v = draws[:, 0] + 1j * draws[:, 1]
     # the norm np.linalg.norm takes of one complex vector, row by row
     norms = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
@@ -163,18 +302,26 @@ def random_pure_stack(n, seeds):
 def random_mixed(m, rank, seed):
     """Random density matrix of exact rank: partial trace of a Haar-random
     purification over an environment of dimension ``rank``."""
-    if not (1 <= m <= MAX_MIXED_QUBITS):
-        raise ValueError(f"qubit count {m} outside [1, {MAX_MIXED_QUBITS}]")
+    return random_mixed_states(m, [rank], [seed])[0]
+
+
+def random_mixed_states(m, ranks, seeds):
+    """``random_mixed(m, rank, seed)`` for each rank and seed, seeded together."""
+    _check_qubit_count(m, MAX_MIXED_QUBITS)
     dim = 2**m
-    if not (1 <= rank <= dim):
-        raise ValueError(f"rank {rank} outside [1, {dim}]")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim * rank) + 1j * rng.standard_normal(dim * rank)
-    v /= np.linalg.norm(v)
-    block = v.reshape(dim, rank)
-    rho = block @ block.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    return MixedState(m, rho)
+    for rank in ranks:
+        if not (1 <= rank <= dim):
+            raise ValueError(f"rank {rank} outside [1, {dim}]")
+    states = []
+    for rank, rng in zip(ranks, _seeded_generators(seeds)):
+        draws = rng.standard_normal((2, dim * rank))
+        v = draws[0] + 1j * draws[1]
+        v /= np.linalg.norm(v)
+        block = v.reshape(dim, rank)
+        rho = block @ block.conj().T
+        rho = 0.5 * (rho + rho.conj().T)
+        states.append(MixedState(m, rho))
+    return states
 
 
 def density_of(psi):

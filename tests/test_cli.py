@@ -1,9 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 import mqinfo as mq
+from mqinfo import cli
 from mqinfo.cli import build_parser, main
 from mqinfo.identities import IDENTITIES, MIXED_IDENTITIES, PURE_IDENTITIES, applicable
 
@@ -126,6 +128,13 @@ class TestFuzz:
                      "--identity", "eq14"]) == 2
         assert "eq14 requires --n >= 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n, limit", [("-1", 14), ("0", 14), ("15", 14)])
+    def test_bad_qubit_count_exit_2(self, n, limit, capsys):
+        assert main(["fuzz", "--n", n, "--trials", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: qubit count {n} outside [1, {limit}]\n"
+
     @pytest.mark.parametrize("trials", ["0", "-3", "1000004"])
     def test_bad_trial_count_exit_2(self, trials, capsys):
         assert main(["fuzz", "--n", "3", "--trials", trials]) == 2
@@ -182,6 +191,27 @@ class TestMixedCheck:
         assert captured.out == ""
         assert captured.err == "error: qubit count 8 outside [1, 7]\n"
 
+    def test_random_negative_size_exit_2(self, capsys):
+        assert main(["mixed-check", "--random", "--m", "-1", "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: qubit count -1 outside [1, 7]\n"
+
+    @pytest.mark.parametrize(
+        "count, message",
+        [
+            ("-1", "qubit count -1 outside [1, 7]"),
+            ("0", "qubit count 0 outside [1, 7]"),
+            ("8", "qubit count 8 outside [1, 7]"),
+            ("x", "invalid literal for int() with base 10: 'x'"),
+        ],
+    )
+    def test_rho_bad_size_exit_2(self, count, message, capsys):
+        assert main(["mixed-check", "--rho", f"maximally-mixed:{count}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_rho_total_info_only(self, capsys):
         assert main(["mixed-check", "--rho", "maximally-mixed:6", "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)
@@ -228,6 +258,75 @@ class TestTolerance:
     def test_zero_tolerance_is_legal(self, capsys):
         assert main(["report", "--state", "basis-product:3", "--tol", "0", "--format", "json"]) == 0
         assert all(r["tolerance"] == 0 for r in json.loads(capsys.readouterr().out)["identities"])
+
+
+class TestParserCache:
+    """``main`` parses every call with one parser per process."""
+
+    # every subcommand, options given and omitted in turn, usage errors
+    # (SystemExit) and input errors (exit 2) in between
+    SEQUENCE = [
+        ["report", "--state", "ghz:3"],
+        ["report", "--state", "w:4", "--format", "json"],
+        ["report", "--state", "ghz:2", "--format", "csv", "--out", "r.csv"],
+        ["report", "--state", "ghz:3"],
+        ["fuzz", "--n", "3", "--trials", "5"],
+        ["fuzz", "--n", "4", "--trials", "5", "--format", "json", "--tol", "1e-30", "--out", "w.json"],
+        ["fuzz", "--n", "4", "--trials", "5", "--tol", "1e-30"],
+        ["fuzz", "--n", "2", "--trials", "3", "--identity", "eq1b", "--seed", "9"],
+        ["fuzz", "--n", "2", "--trials", "3"],
+        ["mixed-check", "--random", "--m", "2", "--trials", "4", "--rank", "2"],
+        ["mixed-check", "--random", "--m", "2", "--trials", "4"],
+        ["mixed-check", "--random", "--m", "3", "--trials", "3", "--format", "json", "--tol", "1e-30", "--out", "m.json"],
+        ["mixed-check", "--rho", "maximally-mixed:2"],
+        ["mixed-check"],
+        ["mixed-check", "--rho", "maximally-mixed:3", "--format", "json"],
+        ["bench", "--n", "3"],
+        ["bench", "--n", "2", "--seed", "4"],
+        ["fuzz", "--trials", "3"],
+        ["report", "--state", "ghz:3", "--format", "xml"],
+        ["fuzz", "--n", "3", "--identity", "eq99"],
+        ["fuzz", "--n", "-1"],
+        ["report", "--state", "ghz:3", "--tol", "nan"],
+        ["mixed-check", "--random", "--m", "2", "--trials", "2", "--seed", "1"],
+        ["fuzz", "--n", "3", "--trials", "5"],
+        ["report", "--state", "w:3", "--format", "json", "--out", "r.json"],
+        ["mixed-check", "--rho", "maximally-mixed:-1"],
+        ["bench", "--n", "3"],
+        [],
+        ["fuzz", "--n", "5", "--trials", "2", "--seed", "3", "--format", "json"],
+        ["report", "--state", "basis-product:2"],
+    ]
+
+    def _run(self, workdir, capsys):
+        results = []
+        for argv in self.SEQUENCE:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            files = {}
+            for path in sorted(workdir.iterdir()):
+                files[path.name] = path.read_bytes()
+                path.unlink()
+            # bench prints wall times; everything else must match byte for byte
+            out = re.sub(r"\d+\.\d+(?= ms|x,)", "#", captured.out)
+            results.append((argv, code, out, captured.err, files))
+        return results
+
+    def test_no_state_leaks_between_calls(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert build_parser() is build_parser()
+        cached = self._run(tmp_path, capsys)
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert cli.build_parser() is not cli.build_parser()
+        fresh = self._run(tmp_path, capsys)
+        for one, other in zip(cached, fresh):
+            assert one == other
+        codes = [code for _, code, _, _, _ in cached]
+        assert codes.count(0) >= 15 and 1 in codes and codes.count(2) >= 8
+        assert any(files for *_, files in cached)
 
 
 # the paper's applicability rules and report names, written out independently

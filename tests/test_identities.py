@@ -299,6 +299,15 @@ class TestFuzzDriver:
         with pytest.raises(ValueError, match=match):
             mq.fuzz(names, 2, 3, 0)
 
+    @pytest.mark.parametrize(
+        "names, n, limit",
+        [(["eq1b"], -1, 14), (["eq1b"], 0, 14), (["eq1b"], 15, 14),
+         (["eq23"], -1, 7), (["eq23"], 0, 7), (["eq23"], 8, 7)],
+    )
+    def test_qubit_count_out_of_range(self, names, n, limit):
+        with pytest.raises(ValueError, match=rf"^qubit count {n} outside \[1, {limit}\]$"):
+            mq.fuzz(names, n, 3, 0)
+
     @pytest.mark.parametrize("trials", [0, -1, MAX_TRIALS + 1])
     def test_trial_count_out_of_range(self, trials):
         with pytest.raises(ValueError, match="trials"):

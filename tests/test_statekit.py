@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import mqinfo as mq
+from mqinfo import statekit
+from mqinfo.identities import MAX_TRIALS
 from mqinfo.statekit import MixedState, PureState
 
 
@@ -114,6 +116,113 @@ class TestRandomMixed:
     def test_invalid_rank(self):
         with pytest.raises(ValueError, match="rank"):
             mq.random_mixed(2, 5, 0)
+
+
+# seeds of 1, 1, 2, 3, 4, 5 and 7 32-bit entropy words
+SEED_WORDS = [0, 2**32 - 1, 2**32, 2**64, 2**96 + 5, 2**128 + 3, 2**200]
+
+
+def _reference_pure(n, seed):
+    """The amplitudes default_rng draws for ``random_pure``, drawn here."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    return v / np.linalg.norm(v)
+
+
+def _reference_mixed(m, rank, seed):
+    """The density matrix default_rng draws for ``random_mixed``, drawn here."""
+    dim = 2**m
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(dim * rank) + 1j * rng.standard_normal(dim * rank)
+    v /= np.linalg.norm(v)
+    block = v.reshape(dim, rank)
+    rho = block @ block.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+class TestBatchSeeding:
+    """The batched seeding must draw exactly what np.random.default_rng draws."""
+
+    def test_self_check_catches_a_wrong_route(self, monkeypatch):
+        monkeypatch.setattr(statekit, "_PCG_MULT", statekit._PCG_MULT + 2)
+        assert not statekit._batch_seeding_matches.__wrapped__()
+
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_pure_rows_match_default_rng(self, n):
+        stack = statekit.random_pure_stack(n, SEED_WORDS)
+        for seed, row in zip(SEED_WORDS, stack):
+            assert np.array_equal(row, _reference_pure(n, seed))
+
+    def test_word_counts_share_a_stack(self):
+        seeds = [2**32 - 2, 2**32 + 1, 2**32 - 1, 2**32, 2**130, 3]
+        stack = statekit.random_pure_stack(3, seeds)
+        for seed, row in zip(seeds, stack):
+            assert np.array_equal(row, _reference_pure(3, seed))
+
+    def test_numpy_integer_seeds(self):
+        seeds = [np.int64(5), np.uint32(2**32 - 1), np.uint64(2**64 - 1), np.int8(3), True]
+        stack = statekit.random_pure_stack(2, seeds)
+        for seed, row in zip(seeds, stack):
+            assert np.array_equal(row, _reference_pure(2, seed))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_mixed_matches_default_rng(self, m):
+        ranks = [(i % 2**m) + 1 for i in range(len(SEED_WORDS))]
+        states = statekit.random_mixed_states(m, ranks, SEED_WORDS)
+        for rank, seed, rho in zip(ranks, SEED_WORDS, states):
+            ref = _reference_mixed(m, rank, seed)
+            assert np.array_equal(rho.matrix, ref)
+            assert np.array_equal(mq.random_mixed(m, rank, seed).matrix, ref)
+
+    def test_fuzz_across_chunks_is_unchanged(self):
+        # 1,100 trials at n = 4 are chunks of 512, 512 and 76 states; the worst
+        # trials (552, 599, 984) lie in the second chunk
+        summaries = mq.fuzz(mq.applicable("pure", 4), 4, 1100, 8)
+        worst = {s["identity"]: s["worst_seed"] - 8 * MAX_TRIALS for s in summaries}
+        assert worst == {"eq1b": 552, "eq14": 552, "eq20": 552, "eq12": 599, "eq26": 984}
+        for s in summaries:
+            assert np.array_equal(s["worst_state"].amplitudes, _reference_pure(4, s["worst_seed"]))
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda: mq.random_pure(2, -1),
+            lambda: statekit.random_pure_stack(2, [0, -5]),
+            lambda: mq.random_mixed(2, 1, -1),
+        ],
+    )
+    def test_negative_seed_keeps_numpy_error(self, draw):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            draw()
+
+    def test_non_integer_seed_keeps_numpy_error(self):
+        with pytest.raises(TypeError) as ours:
+            mq.random_pure(2, 1.5)
+        with pytest.raises(TypeError) as numpys:
+            np.random.default_rng(1.5)
+        assert str(ours.value) == str(numpys.value)
+
+    def test_failed_self_check_takes_default_rng(self, monkeypatch):
+        def forbidden(seeds):
+            raise AssertionError("batch route used after a failed self-check")
+
+        monkeypatch.setattr(statekit, "_batch_seeding_matches", lambda: False)
+        monkeypatch.setattr(statekit, "_pcg_generators", forbidden)
+        stack = statekit.random_pure_stack(4, SEED_WORDS)
+        for seed, row in zip(SEED_WORDS, stack):
+            assert np.array_equal(row, _reference_pure(4, seed))
+        rho = mq.random_mixed(2, 3, 2**64)
+        assert np.array_equal(rho.matrix, _reference_mixed(2, 3, 2**64))
+
+    def test_batch_route_is_taken_on_this_numpy(self, monkeypatch):
+        assert statekit._batch_seeding_matches()  # cached before numpy is patched
+
+        def forbidden(seed=None):
+            raise AssertionError("default_rng called on the batch route")
+
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        statekit.random_pure_stack(3, [0, 2**32, 2**200])
+        mq.random_mixed(2, 2, 7)
 
 
 class TestDensityOf:
