@@ -3,18 +3,18 @@
 Each checker evaluates both sides of one equality (or the margin of one
 inequality) on a concrete state and returns an IdentityReport.  Checkers are
 pure functions, and reject a tolerance that is negative, infinite or NaN.
-A pure-state relation's arithmetic is one array function over a stack of
-states (their information values, purities and amplitudes, one row each);
-its public ``residual_*`` checker is a one-state call of that function.
+Each relation's arithmetic is one array function over a stack of states
+(their information values, purities, and amplitudes or spin-flip overlaps,
+one row each); its public ``residual_*`` checker is a one-state call of it.
 
 ``IDENTITIES`` is the one table of the relations, in output order: eq1b,
 eq14, eq20, eq12, eq26 on pure states, then eq24, eq25, eq23 on density
 matrices.  Each entry gives the kind, the qubit counts it applies to, and a
 checker returning every report the relation makes on one state.  report,
 fuzz and mixed-check take what they run from ``applicable``.  ``fuzz`` draws
-one seeded random state per trial, in chunks: a chunk of pure states is one
-amplitude stack, whose tables come from one ``info_values`` call and whose
-identities are checked by the array functions on the whole stack.
+one seeded random state per trial, in chunks, one chunk path for both kinds:
+a chunk's tables come from one ``info_values`` (pure) or ``spectrum_values``
+(mixed) call, and the array functions check the whole chunk at once.
 
 Conventions resolved here (fixed by the explicit small-n instances):
   * the one-vs-rest sum runs over all subsets containing qubit k with
@@ -34,13 +34,13 @@ import numpy as np
 from .measures import (
     _subset_to_mask,
     all_infos_fast,
-    all_infos_mixed,
     info_values,
     n_tangle,
     n_tangles,
+    spectrum_values,
     subset_index,
 )
-from .reduction import _BATCH_AMPLITUDES, partial_trace, pure_subset_purities, purity, tilde_overlap
+from .reduction import _BATCH_AMPLITUDES, pure_subset_purities
 from .statekit import (
     MAX_MIXED_QUBITS,
     MAX_QUBITS,
@@ -77,27 +77,17 @@ class IdentityReport:
         }
 
 
-def _equality(name, lhs, rhs, tol, context):
-    res = lhs - rhs
-    return IdentityReport(name, lhs, rhs, res, tol, abs(res) <= tol, context)
-
-
-def _inequality(name, lhs, rhs, tol, context):
-    # inequality lhs <= rhs; margin = rhs - lhs must be >= -tol
-    margin = rhs - lhs
-    ctx = dict(context)
-    ctx["margin"] = margin
-    return IdentityReport(name, lhs, rhs, lhs - rhs, tol, margin >= -tol, ctx)
-
-
 # ---------------------------------------------------------------------------
 # pure-state identities
 # ---------------------------------------------------------------------------
 # Each relation's arithmetic is one function over a stack of B states:
 # values and purities are (B, 2^n) arrays indexed by subset mask (an
-# InfoTable's, one row per state), amps the (B, 2^n) amplitudes, and the
-# result is the (B,) left- and right-hand sides.  The public residual_*
-# checkers are one-state calls of these; fuzz calls them on whole chunks.
+# InfoTable's, one row per state), amps the (B, 2^n) amplitudes, or for
+# density matrices overlaps, tr(rho_S rho~_S) by mask; the result is the
+# (B,) left- and right-hand sides.  A verdict function maps them to (score,
+# margin or None, failed, gate), the largest score being the worst case.
+# The public residual_* checkers are one-state calls of these; fuzz calls
+# them on whole chunks.
 
 def _check_tol(tol, name="tol"):
     # an infinite or NaN tolerance would pass every check vacuously
@@ -170,22 +160,37 @@ def _combination_sides(values, purities, amps):
     return 5.0 * single - 4.0 * pair, values[:, 15]
 
 
-def _one_state(sides, psi, table, tol, *case):
-    """(lhs, rhs) of one state through an array function."""
+def _equality_verdict(lhs, rhs, tol):
+    res = np.abs(lhs - rhs)
+    return res, None, ~(res <= tol), tol
+
+
+def _report(label, name, arrays, tol, context, *case):
+    """One state's IdentityReport of identity ``name``: its array functions
+    on ``arrays``, that state's one-row tables.  A margin joins the context."""
     _check_tol(tol)
+    ident = IDENTITIES[name]
+    lhs, rhs = ident.sides(*arrays, *case)
+    _, margin, failed, gate = ident.verdict(lhs, rhs, tol)
+    if margin is not None:
+        context["margin"] = float(margin[0])
+    lhs, rhs = float(lhs[0]), float(rhs[0])
+    return IdentityReport(label, lhs, rhs, lhs - rhs, gate, not failed[0], context)
+
+
+def _pure_arrays(psi, table):
+    """One-row (values, purities, amps) of a pure state, from its table if given."""
     table = table if table is not None else all_infos_fast(psi)
     amps = psi.amplitudes[None]
     purities = table.purities
     if purities is None:  # an oracle table carries none
         purities = pure_subset_purities(amps)[0]
-    lhs, rhs = sides(table.values[None], purities[None], amps, *case)
-    return float(lhs[0]), float(rhs[0])
+    return table.values[None], purities[None], amps
 
 
 def residual_complementarity(psi, table=None, tol=EQ_TOL):
     """Sum of every subset information value equals the qubit count."""
-    lhs, rhs = _one_state(_complementarity_sides, psi, table, tol)
-    return _equality("complementarity", lhs, rhs, tol, {"n": psi.num_qubits})
+    return _report("complementarity", "eq1b", _pure_arrays(psi, table), tol, {"n": psi.num_qubits})
 
 
 def residual_single_partition(psi, k, table=None, tol=EQ_TOL):
@@ -195,8 +200,8 @@ def residual_single_partition(psi, k, table=None, tol=EQ_TOL):
         raise ValueError("needs at least 2 qubits")
     if not (1 <= k <= n):
         raise ValueError(f"qubit {k} outside 1..{n}")
-    lhs, rhs = _one_state(_single_partition_sides, psi, table, tol, k)
-    return _equality("single-partition", lhs, rhs, tol, {"n": n, "k": k})
+    arrays = _pure_arrays(psi, table)
+    return _report("single-partition", "eq14", arrays, tol, {"n": n, "k": k}, k)
 
 
 def residual_pair_partition(psi, pair, table=None, tol=EQ_TOL):
@@ -207,30 +212,60 @@ def residual_pair_partition(psi, pair, table=None, tol=EQ_TOL):
     pair = tuple(sorted(set(pair)))
     if len(pair) != 2 or pair[0] < 1 or pair[1] > n:
         raise ValueError(f"bad pair {pair} for n={n}")
-    lhs, rhs = _one_state(_pair_partition_sides, psi, table, tol, pair)
-    return _equality("pair-partition", lhs, rhs, tol, {"n": n, "pair": list(pair)})
+    arrays = _pure_arrays(psi, table)
+    return _report("pair-partition", "eq20", arrays, tol, {"n": n, "pair": list(pair)}, pair)
 
 
 def residual_tangle_relation_4q(psi, table=None, tol=EQ_TOL):
     """Pair-sum minus singleton-sum equals 4(tangle - 1) on four qubits."""
     if psi.num_qubits != 4:
         raise ValueError("defined for exactly 4 qubits")
-    lhs, rhs = _one_state(_tangle_relation_sides, psi, table, tol)
     context = {"n": 4, "tangle": n_tangle(psi)}
-    return _equality("four-qubit-tangle", lhs, rhs, tol, context)
+    return _report("four-qubit-tangle", "eq12", _pure_arrays(psi, table), tol, context)
 
 
 def residual_combination_4q(psi, table=None, tol=EQ_TOL):
     """5*sum of one-vs-rest taus minus 4*sum of pair-partition taus = I_1234."""
     if psi.num_qubits != 4:
         raise ValueError("defined for exactly 4 qubits")
-    lhs, rhs = _one_state(_combination_sides, psi, table, tol)
-    return _equality("four-qubit-combination", lhs, rhs, tol, {"n": 4})
+    return _report("four-qubit-combination", "eq26", _pure_arrays(psi, table), tol, {"n": 4})
 
 
 # ---------------------------------------------------------------------------
 # mixed-state identities
 # ---------------------------------------------------------------------------
+
+def _mixed_pair_sides(values, purities, overlaps):
+    return purities[:, 1] + purities[:, 2] - purities[:, 3], 1.0 - overlaps[:, 3]
+
+
+def _mixed_triple_sides(values, purities, overlaps):
+    # over the pairs (1, 2), (1, 3) and (2, 3)
+    pair_purities = purities[:, 3] + purities[:, 5] + purities[:, 6]
+    pair_overlaps = overlaps[:, 3] + overlaps[:, 5] + overlaps[:, 6]
+    lhs = purities[:, 7] - 0.5 * (pair_purities + pair_overlaps) + 1.5
+    return lhs, 1.0 - overlaps[:, 7]
+
+
+def _mixed_pair_verdict(lhs, rhs, tol):
+    # gated tighter than tol, and the corollary lhs <= 1 must hold as well
+    gate = min(tol, MIXED_PAIR_TOL)
+    res, margin = np.abs(lhs - rhs), 1.0 - lhs
+    return res, margin, ~((res <= gate) & (margin >= -1e-12)), gate
+
+
+def _mixed_triple_verdict(lhs, rhs, tol):
+    # the left-hand side is nonnegative as well
+    res = np.abs(lhs - rhs)
+    return res, lhs, ~((res <= tol) & (lhs >= -INEQ_TOL)), tol
+
+
+def _inequality_verdict(lhs, rhs, tol):
+    # lhs <= rhs; the margin rhs - lhs must be >= -tol, and the worst case
+    # is the smallest margin
+    margin = rhs - lhs
+    return -margin, margin, ~(margin >= -tol), tol
+
 
 def residual_mixed_pair(rho, tol=MIXED_PAIR_TOL):
     """tr(rho_1^2) + tr(rho_2^2) - tr(rho_12^2) = 1 - tr(rho_12 rho~_12).
@@ -239,19 +274,9 @@ def residual_mixed_pair(rho, tol=MIXED_PAIR_TOL):
     ``tolerance``.  The context carries the corollary margin 1 - lhs >= 0;
     ``passed`` requires both the equality and the corollary.
     """
-    _check_tol(tol)
     if rho.num_qubits != 2:
         raise ValueError("defined for exactly 2 qubits")
-    p1 = purity(partial_trace(rho, (1,)))
-    p2 = purity(partial_trace(rho, (2,)))
-    p12 = purity(rho)
-    lhs = p1 + p2 - p12
-    rhs = 1.0 - tilde_overlap(rho)
-    rep = _equality("mixed-pair", lhs, rhs, min(tol, MIXED_PAIR_TOL), {"m": 2})
-    margin = 1.0 - lhs
-    rep.context["margin"] = margin
-    rep.passed = rep.passed and margin >= -1e-12
-    return rep
+    return _report("mixed-pair", "eq24", spectrum_values(rho.matrix[None]), tol, {"m": 2})
 
 
 def residual_mixed_triple(rho, tol=EQ_TOL):
@@ -259,29 +284,15 @@ def residual_mixed_triple(rho, tol=EQ_TOL):
 
     Context carries the nonnegativity margin of the left-hand side.
     """
-    _check_tol(tol)
     if rho.num_qubits != 3:
         raise ValueError("defined for exactly 3 qubits")
-    pair_purities = 0.0
-    pair_overlaps = 0.0
-    for pair in ((1, 2), (1, 3), (2, 3)):
-        red = partial_trace(rho, pair)
-        pair_purities += purity(red)
-        pair_overlaps += tilde_overlap(red)
-    lhs = purity(rho) - 0.5 * (pair_purities + pair_overlaps) + 1.5
-    rhs = 1.0 - tilde_overlap(rho)
-    rep = _equality("mixed-triple", lhs, rhs, tol, {"m": 3})
-    rep.context["margin"] = lhs
-    rep.passed = rep.passed and lhs >= -INEQ_TOL
-    return rep
+    return _report("mixed-triple", "eq25", spectrum_values(rho.matrix[None]), tol, {"m": 3})
 
 
 def mixed_total_info_margin(rho, tol=INEQ_TOL):
     """Total information of a density matrix is at most the qubit count."""
-    _check_tol(tol)
-    m = rho.num_qubits
-    total = all_infos_mixed(rho).total()
-    return _inequality("mixed-total-info", total, float(m), tol, {"m": m})
+    context = {"m": rho.num_qubits}
+    return _report("mixed-total-info", "eq23", spectrum_values(rho.matrix[None]), tol, context)
 
 
 # ---------------------------------------------------------------------------
@@ -307,19 +318,20 @@ class Identity:
     ``check(state, table, tol)`` returns the relation's IdentityReports for
     one state; ``table`` is the state's all_infos_fast table (None for a
     density matrix).  ``requirement`` names the qubit count that
-    ``applies`` accepts, for error messages.  The worst case of an
-    inequality is its smallest margin, of an equality its largest |residual|.
-    A pure relation also gives its array function ``sides`` and the
-    arguments ``cases(n)`` it is checked for, one report each, in order.
+    ``applies`` accepts, for error messages.  ``sides`` is the relation's
+    array function over a stack of states, called once per argument tuple
+    in ``cases(n)``, one report each, in order; ``verdict(lhs, rhs, tol)``
+    gives its (score, margin, failed, gate) arrays, the worst case being the
+    largest score: an equality's |residual|, an inequality's -margin.
     """
 
     kind: str
     applies: Callable[[int], bool]
     requirement: str
     check: Callable
-    inequality: bool = False
-    sides: Callable | None = None
+    sides: Callable
     cases: Callable[[int], list] = _single
+    verdict: Callable = _equality_verdict
 
 
 # Table order is output order.  The checkers look the residual functions up
@@ -359,15 +371,18 @@ IDENTITIES = {
     "eq24": Identity(
         "mixed", lambda m: m == 2, "--m 2",
         lambda rho, table, tol: [residual_mixed_pair(rho, tol)],
+        sides=_mixed_pair_sides, verdict=_mixed_pair_verdict,
     ),
     "eq25": Identity(
         "mixed", lambda m: m == 3, "--m 3",
         lambda rho, table, tol: [residual_mixed_triple(rho, tol)],
+        sides=_mixed_triple_sides, verdict=_mixed_triple_verdict,
     ),
+    # the total information is eq1b's sum, taken over a density matrix's table
     "eq23": Identity(
         "mixed", lambda m: True, "--m >= 1",
         lambda rho, table, tol: [mixed_total_info_margin(rho, tol)],
-        inequality=True,
+        sides=_complementarity_sides, verdict=_inequality_verdict,
     ),
 }
 PURE_IDENTITIES = tuple(k for k, v in IDENTITIES.items() if v.kind == "pure")
@@ -394,39 +409,26 @@ def derive_seed(base_seed, trial):
     return base_seed * MAX_TRIALS + trial
 
 
-def _pure_chunk(idents, n, seeds, tol):
+def _chunk(idents, n, seeds, tol, ranks):
     """Per identity (score, failed, margin, gate, states) of one chunk of trials.
 
-    ``score`` (|residual|, or -margin for an inequality) and ``failed`` are
-    (B, cases): one row per state, one column per report the identity
-    makes.  ``margin`` is None for a pure state; ``gate`` is the tolerance
-    the checker applied; ``states`` is the (B, 2^n) amplitude stack.
+    The states are pure (``ranks`` None), drawn as one amplitude stack, or
+    density matrices of the given ranks.  ``score`` (|residual|, or -margin
+    for an inequality), ``failed`` and ``margin`` (or None) are (B, cases):
+    one row per state, one column per report the identity makes.
     """
-    amps = random_pure_stack(n, seeds)
-    values, purities = info_values(amps)
+    if ranks is None:
+        states = random_pure_stack(n, seeds)
+        arrays = (*info_values(states), states)
+    else:
+        states = random_mixed_states(n, ranks, seeds)
+        arrays = spectrum_values(np.array([rho.matrix for rho in states]))
     out = []
     for ident in idents:
-        sides = [ident.sides(values, purities, amps, *case) for case in ident.cases(n)]
-        score = np.abs(np.stack([lhs - rhs for lhs, rhs in sides], axis=1))
-        out.append((score, ~(score <= tol), None, tol, amps))
-    return out
-
-
-def _mixed_chunk(idents, m, seeds, tol, rank, first_trial):
-    """``_pure_chunk`` for density matrices, checked one state at a time."""
-    ranks = [
-        rank if rank is not None else (trial % (2**m)) + 1
-        for trial in range(first_trial, first_trial + len(seeds))
-    ]
-    states = random_mixed_states(m, ranks, seeds)
-    out = []
-    for ident in idents:
-        reps = [ident.check(state, None, tol) for state in states]
-        res = np.array([[rep.residual for rep in row] for row in reps])
-        margin = np.array([[rep.context["margin"] for rep in row] for row in reps])
-        failed = np.array([[not rep.passed for rep in row] for row in reps])
-        score = -margin if ident.inequality else np.abs(res)
-        out.append((score, failed, margin, reps[0][0].tolerance, states))
+        sides = np.array([ident.sides(*arrays, *case) for case in ident.cases(n)])
+        lhs, rhs = sides.transpose(1, 2, 0)  # (cases, 2, B) to (B, cases) each
+        score, margin, failed, gate = ident.verdict(lhs, rhs, tol)
+        out.append((score, failed, margin, gate, states))
     return out
 
 
@@ -439,11 +441,11 @@ def fuzz(names, n, trials, base_seed, tol=EQ_TOL, rank=None):
     random density matrix on n qubits of rank ``rank`` (None cycles through
     every rank 1..2^n across trials).  The trials run in chunks of states
     holding at most ``_BATCH_AMPLITUDES`` amplitudes (matrix entries for a
-    density matrix).  A pure chunk is one (B, 2^n) amplitude stack: one
-    ``info_values`` call gives every table, and each identity's array
-    function checks the whole chunk at once; density matrices are checked
-    one at a time.  The states are those of ``random_pure``/``random_mixed``
-    bit for bit, and only a summary's worst state is built as a PureState.
+    density matrix): one ``info_values`` or ``spectrum_values`` call gives
+    every table of a chunk, and each identity's array function checks the
+    whole chunk at once.  The states are those of ``random_pure``/
+    ``random_mixed`` bit for bit, and only a summary's worst state is built
+    as a PureState.
 
     Each summary holds the largest violation ``max_residual`` (|residual|
     for an equality, max(0, lhs - rhs) for an inequality), the failure
@@ -466,6 +468,8 @@ def fuzz(names, n, trials, base_seed, tol=EQ_TOL, rank=None):
         raise ValueError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
     _check_tol(tol)
     pure = idents[0].kind == "pure"
+    if pure and rank is not None:
+        raise ValueError(f"rank applies to density matrices, not to {names!r}")
     _check_qubit_count(n, MAX_QUBITS if pure else MAX_MIXED_QUBITS)
     size = {"n": n} if pure else {"m": n, "rank": rank, "min_margin": None}
     summaries = [
@@ -476,10 +480,10 @@ def fuzz(names, n, trials, base_seed, tol=EQ_TOL, rank=None):
     chunk = max(1, _BATCH_AMPLITUDES >> (n if pure else 2 * n))
     for start in range(0, trials, chunk):
         seeds = [derive_seed(base_seed, t) for t in range(start, min(start + chunk, trials))]
-        results = (
-            _pure_chunk(idents, n, seeds, tol) if pure
-            else _mixed_chunk(idents, n, seeds, tol, rank, start)
-        )
+        ranks = None if pure else [
+            rank if rank is not None else t % 2**n + 1 for t in range(start, start + len(seeds))
+        ]
+        results = _chunk(idents, n, seeds, tol, ranks)
         for i, (s, (score, failed, margin, gate, states)) in enumerate(zip(summaries, results)):
             # argmax takes the first of equal scores: the first strict maximum wins
             at = int(np.argmax(score))

@@ -19,6 +19,14 @@ Two routes exist for the information values:
     over the 2^n purity array, O(n 2^n) work.  ``info_values`` runs it on
     a stack of states at once (the fuzz driver's chunks); ``all_infos_fast``
     is its one-state call.
+
+For density matrices ``spectrum_values`` adds to the direct route's
+exact-support sums A_T, by the zeta transform (the Moebius one's inverse,
+in the same loop), every subset purity and spin-flip overlap, with no
+partial trace: tr(rho_S^2) = 2^-|S| sum_{T within S} A_T, and, as the spin
+flip negates every non-identity Pauli expectation, tr(rho_S rho~_S) =
+2^-|S| sum_{T within S} (-1)^|T| A_T (Rains' constant shadow coefficient,
+IEEE Trans. IT 45, 2361 (1999)).
 """
 
 from dataclasses import dataclass, field
@@ -119,9 +127,6 @@ class InfoTable:
         _, sizes = subset_index(self.num_qubits)
         return float(self.values[sizes >= 2].sum())
 
-    def total(self):
-        return float(self.values[1:].sum())
-
     def to_json_obj(self):
         return {
             "n": self.num_qubits,
@@ -159,18 +164,36 @@ def info_subset(psi, subset):
     return f - 1.0
 
 
-def _table_from_spectrum(matrix, n):
-    """InfoTable of a state given as its 2^n x 2^n matrix, by the direct route.
+def _subset_sums(f, n, op):
+    """In place along the last axis of f, indexed by subset mask: np.add makes
+    f(S) the sum of f(T) over T within S (zeta), np.subtract undoes it (Moebius)."""
+    cube = f.reshape((-1,) + (2,) * n)
+    for axis in range(1, n + 1):
+        lead = (slice(None),) * axis
+        op(cube[lead + (1,)], cube[lead + (0,)], out=cube[lead + (1,)])
 
-    Squares the Pauli spectrum, sums it per exact support with one bincount,
-    and subtracts 1 from every subset of two or more qubits.
-    """
-    spectrum = pauli_spectrum(matrix, n)
-    f = np.bincount(_support_masks(n), weights=spectrum**2, minlength=1 << n)
+
+def _infos(sums, n):
+    """I_S = A_S - [|S| >= 2] from the exact-support sums A, in place; I of {} is 0."""
     _, sizes = subset_index(n)
-    f[sizes >= 2] -= 1.0
-    f[0] = 0.0
-    return InfoTable(n, f)
+    sums -= sizes >= 2
+    sums[:, 0] = 0.0
+    return sums
+
+
+def _support_sums(matrices, n):
+    """A_T = sum of tr(M P)^2 over the Pauli strings P supported exactly on T,
+    for each M in a (B, 2^n, 2^n) stack: one bincount, row b indexed by mask T."""
+    spectra = pauli_spectrum(matrices, n)
+    count = len(spectra)
+    bins = np.arange(count)[:, None] << n | _support_masks(n)
+    sums = np.bincount(bins.ravel(), weights=(spectra**2).ravel(), minlength=count << n)
+    return sums.reshape(count, 1 << n)
+
+
+def _table_from_spectrum(matrix, n):
+    """InfoTable of a state given as its 2^n x 2^n matrix, by the direct route."""
+    return InfoTable(n, _infos(_support_sums(matrix[None], n), n)[0])
 
 
 def all_infos_enumerated(psi):
@@ -208,13 +231,8 @@ def info_values(amps):
     purities = pure_subset_purities(amps)
     _, sizes = subset_index(n)
     f = np.ldexp(purities, sizes)
-    cube = f.reshape((-1,) + (2,) * n)
-    for axis in range(1, n + 1):
-        lead = (slice(None),) * axis
-        cube[lead + (1,)] -= cube[lead + (0,)]
-    f -= sizes >= 2  # 1 off every subset of two or more qubits
-    f[:, 0] = 0.0
-    return f, purities
+    _subset_sums(f, n, np.subtract)
+    return _infos(f, n), purities
 
 
 def all_infos_fast(psi):
@@ -223,12 +241,29 @@ def all_infos_fast(psi):
     return InfoTable(psi.num_qubits, values[0], purities[0])
 
 
+def spectrum_values(matrices):
+    """I_S, tr(rho_S^2) and tr(rho_S rho~_S) of each density matrix in a stack.
+
+    ``matrices`` is (B, 2^m, 2^m); the result is (values, purities,
+    overlaps), each (B, 2^m) with row b indexed by subset mask, ``values``
+    rows equal to ``all_infos_mixed``'s bit for bit.  Both sums of the
+    module docstring are one zeta transform, run on the two arrays together.
+    """
+    m = matrices.shape[1].bit_length() - 1
+    sums = _support_sums(matrices, m)
+    _, sizes = subset_index(m)
+    zeta = np.stack((sums, sums * (1.0 - 2.0 * (sizes & 1))))
+    _subset_sums(zeta, m, np.add)
+    purities, overlaps = zeta * 0.5**sizes
+    return _infos(sums, m), purities, overlaps
+
+
 def all_infos_mixed(rho):
     """Complete InfoTable for a density matrix, via tr(rho P) expectations.
 
     The pure-state defining formulas are reused verbatim with mixed-state
-    expectations; this is the declared extension backing the total-information
-    inequality for mixed states.
+    expectations; the total-information inequality is checked on these
+    values, which ``spectrum_values`` gives for a stack of matrices.
     """
     return _table_from_spectrum(rho.matrix, rho.num_qubits)
 

@@ -8,7 +8,8 @@ x_mask marks bit flips (X and Y), z_mask marks (-1)^bit signs (Z and Y).
 Y phase convention: sigma_y|0> = i|1>, sigma_y|1> = -i|0>.
 
 ``expectation_pure``/``expectation_mixed`` take one string at a time (the
-per-string reference); ``pauli_spectrum`` gives all 4^m values at once.
+per-string reference); ``pauli_spectrum`` gives all 4^m values at once, of
+one matrix or of each in a stack.
 """
 
 from dataclasses import dataclass, field
@@ -121,15 +122,20 @@ def pauli_spectrum(matrix, m):
     d_1 d_2 ... d_m being the base-4 digits of k (qubit 1 most significant).
     This is the tensorized Pauli decomposition: the matrix is viewed as one
     (row bit, column bit) axis pair per qubit, and ``_PAULI_MAP`` is applied
-    along each pair in turn, O(m 4^m) work.  Raises ArithmeticError if a
-    value is not real within IMAG_TOL.
+    along each pair in turn, O(m 4^m) work.  A (B, 2^m, 2^m) stack gives a
+    (B, 4^m) array, each row equal to its matrix's spectrum bit for bit.
+    Raises ArithmeticError if a value is not real within IMAG_TOL.
     """
-    pairs = np.asarray(matrix).reshape((2,) * (2 * m))
-    spec = pairs.transpose([a for q in range(m) for a in (q, m + q)]).reshape(4, -1)
+    matrix = np.asarray(matrix)
+    pairs = matrix.reshape((-1,) + (2,) * (2 * m))
+    axes = [0] + [1 + a for q in range(m) for a in (q, m + q)]
+    spec = pairs.transpose(axes).reshape(len(pairs), 4, -1)
     for _ in range(m):
-        # map the leading qubit's axis and rotate it to the back
-        spec = (_PAULI_MAP @ spec).T.reshape(4, -1)
-    return _real(spec.reshape(-1))
+        # map the leading qubit's axis, written straight to the back
+        rotated = np.empty((len(pairs), spec.shape[2], 4), dtype=np.complex128)
+        np.matmul(_PAULI_MAP, spec, out=rotated.swapaxes(1, 2))
+        spec = rotated.reshape(len(pairs), 4, -1)
+    return _real(spec.reshape(matrix.shape[:-2] + (-1,)))
 
 
 def strings_on_support(n, subset):

@@ -38,7 +38,7 @@ def _check_normalized(amps):
     """Raise ValueError unless every amplitude vector (last axis) is finite with norm 1."""
     if not np.isfinite(amps).all():
         raise ValueError("amplitudes must be finite (no NaN or inf)")
-    err = np.max(np.abs(np.linalg.norm(amps, axis=-1) - 1.0))
+    err = np.max(np.abs(np.linalg.norm(amps, axis=-1) - 1.0), initial=0.0)
     if err > NORM_TOL_INTERNAL:
         raise ValueError(f"state not normalized: |norm-1| = {err:.3e}")
 
@@ -67,7 +67,11 @@ class PureState:
 
 @dataclass(frozen=True)
 class MixedState:
-    """Hermitian, PSD, trace-1 density matrix over ``num_qubits`` qubits."""
+    """Hermitian, PSD, trace-1 density matrix over ``num_qubits`` qubits.
+
+    The Hermitian part (M + M^dagger)/2 is stored: sums of up to 2^m
+    entries (the Pauli spectrum) would add up what HERM_TOL lets through.
+    """
 
     num_qubits: int
     matrix: np.ndarray = field(repr=False)
@@ -85,6 +89,7 @@ class MixedState:
             raise ValueError("matrix is not Hermitian within tolerance")
         if abs(np.trace(mat).real - 1.0) > TRACE_TOL or abs(np.trace(mat).imag) > TRACE_TOL:
             raise ValueError("matrix trace is not 1 within tolerance")
+        mat = 0.5 * (mat + mat.conj().T)
         evals = np.linalg.eigvalsh(mat)
         if evals[0] < -PSD_TOL:
             raise ValueError(f"matrix not PSD: min eigenvalue {evals[0]:.3e}")
@@ -308,6 +313,8 @@ def random_mixed(m, rank, seed):
 def random_mixed_states(m, ranks, seeds):
     """``random_mixed(m, rank, seed)`` for each rank and seed, seeded together."""
     _check_qubit_count(m, MAX_MIXED_QUBITS)
+    if len(ranks) != len(seeds):
+        raise ValueError(f"{len(ranks)} ranks for {len(seeds)} seeds")
     dim = 2**m
     for rank in ranks:
         if not (1 <= rank <= dim):
@@ -318,9 +325,7 @@ def random_mixed_states(m, ranks, seeds):
         v = draws[0] + 1j * draws[1]
         v /= np.linalg.norm(v)
         block = v.reshape(dim, rank)
-        rho = block @ block.conj().T
-        rho = 0.5 * (rho + rho.conj().T)
-        states.append(MixedState(m, rho))
+        states.append(MixedState(m, block @ block.conj().T))
     return states
 
 

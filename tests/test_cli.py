@@ -237,6 +237,38 @@ class TestMixedCheck:
             main(["mixed-check"])
         assert exc.value.code == 2
 
+    def test_checks_independent_of_partial_traces(self, monkeypatch, capsys):
+        # the partial-trace route is the tests' oracle for the mixed checks
+        import sys
+
+        def forbidden(*args):
+            raise AssertionError("a mixed check reached the partial-trace route")
+
+        for name, module in list(sys.modules.items()):
+            if name == "mqinfo" or name.startswith("mqinfo."):
+                for fn in ("partial_trace", "purity", "tilde_overlap", "spin_flip"):
+                    if hasattr(module, fn):
+                        monkeypatch.setattr(module, fn, forbidden)
+        for m in range(1, 8):
+            assert main(["mixed-check", "--random", "--m", str(m), "--trials", str(min(2**m, 8))]) == 0
+            assert main(["mixed-check", "--rho", f"maximally-mixed:{m}"]) == 0
+
+    @pytest.mark.parametrize("m", [2, 7])
+    def test_rho_inside_herm_tol_never_crashes(self, m, tmp_path, capsys):
+        # each entry of the anti-Hermitian part passes HERM_TOL, but the Pauli
+        # spectrum's sums of them would not pass its realness gate
+        mat = np.eye(2**m, dtype=complex) / 2**m
+        if m == 2:
+            for i, j in ((0, 1), (1, 0), (2, 3), (3, 2)):
+                mat[i, j] = 0.49e-10j
+        else:
+            mat += 0.49e-10j * (np.ones((2**m, 2**m)) - np.eye(2**m))
+        rows = [[[z.real, z.imag] for z in row] for row in mat.tolist()]
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps({"kind": "mixed", "m": m, "matrix": rows}))
+        assert main(["mixed-check", "--rho", f"file:{path}"]) in (0, 1)
+        assert "[pass] mixed-total-info" in capsys.readouterr().out
+
 
 class TestTolerance:
     COMMANDS = [

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mqinfo as mq
-from mqinfo.identities import MAX_TRIALS, MIXED_PAIR_TOL, derive_seed
+from mqinfo.identities import MAX_TRIALS, MIXED_IDENTITIES, MIXED_PAIR_TOL, derive_seed
 
 
 def bell_pair_tensor():
@@ -190,6 +190,15 @@ class TestMixedPair:
             assert abs(rep.residual) <= 1e-10
             assert rep.context["margin"] >= -1e-12
 
+    @pytest.mark.parametrize("rank", [1, 2, 4])
+    def test_sides_match_partial_trace_oracle(self, rank):
+        for seed in range(10):
+            rho = mq.random_mixed(2, rank, seed)
+            lhs = sum(mq.purity(mq.partial_trace(rho, (q,))) for q in (1, 2)) - mq.purity(rho)
+            rep = mq.residual_mixed_pair(rho)
+            assert abs(rep.lhs - lhs) <= 1e-12
+            assert abs(rep.rhs - (1.0 - mq.tilde_overlap(rho))) <= 1e-12
+
 
 class TestMixedTriple:
     def test_ghz3_density(self, ghz3):
@@ -216,6 +225,17 @@ class TestMixedTriple:
             rep = mq.residual_mixed_triple(mq.random_mixed(3, rank, seed))
             assert abs(rep.residual) <= 1e-9
             assert rep.context["margin"] >= -1e-9
+
+    @pytest.mark.parametrize("rank", [1, 2, 8])
+    def test_sides_match_partial_trace_oracle(self, rank):
+        for seed in range(10):
+            rho = mq.random_mixed(3, rank, seed)
+            pairs = [mq.partial_trace(rho, pair) for pair in ((1, 2), (1, 3), (2, 3))]
+            pair_sum = sum(mq.purity(red) + mq.tilde_overlap(red) for red in pairs)
+            rep = mq.residual_mixed_triple(rho)
+            assert abs(rep.lhs - (mq.purity(rho) - 0.5 * pair_sum + 1.5)) <= 1e-12
+            assert abs(rep.rhs - (1.0 - mq.tilde_overlap(rho))) <= 1e-12
+            assert rep.context["margin"] == rep.lhs
 
 
 class TestMixedTotalInfo:
@@ -286,6 +306,11 @@ class TestFuzzDriver:
         assert mq.fuzz(["eq24"], 2, 4, 0)[0]["tolerance"] == MIXED_PAIR_TOL == 1e-10
         assert mq.fuzz(["eq24"], 2, 4, 0, tol=1e-12)[0]["tolerance"] == 1e-12
         assert mq.residual_mixed_pair(mq.random_mixed(2, 2, 0), tol=1e-6).tolerance == 1e-10
+
+    def test_rank_is_for_density_matrices(self):
+        with pytest.raises(ValueError, match="rank applies to density matrices"):
+            mq.fuzz(["eq1b"], 3, 4, 0, rank=2)
+        assert mq.fuzz(["eq23"], 3, 4, 0, rank=2)[0]["rank"] == 2
 
     def test_eq12_requires_n4(self):
         with pytest.raises(ValueError, match="eq12 requires --n 4"):
@@ -398,6 +423,90 @@ def _loop_summaries(names, n, trials, base_seed, tol):
                 s["max_residual"] = max(s["max_residual"], abs(rep.residual))
                 s["failures"] += not rep.passed
     return out
+
+
+class TestMixedVerdicts:
+    """The gates and corollary margins, on sides whose equality holds exactly."""
+
+    def test_pair_gate_and_corollary(self):
+        lhs = np.array([1.0, 1.0 + 2e-12])
+        score, margin, failed, gate = mq.IDENTITIES["eq24"].verdict(lhs, lhs.copy(), 1e-9)
+        assert gate == MIXED_PAIR_TOL and score.tolist() == [0.0, 0.0]
+        assert np.array_equal(margin, 1.0 - lhs) and failed.tolist() == [False, True]
+        score, _, failed, _ = mq.IDENTITIES["eq24"].verdict(np.zeros(2), np.array([5e-11, 2e-10]), 1e-9)
+        assert score.tolist() == [5e-11, 2e-10] and failed.tolist() == [False, True]
+
+    def test_triple_corollary(self):
+        lhs = np.array([0.0, -2e-9])
+        _, margin, failed, gate = mq.IDENTITIES["eq25"].verdict(lhs, lhs.copy(), 1e-9)
+        assert gate == 1e-9
+        assert np.array_equal(margin, lhs) and failed.tolist() == [False, True]
+
+    def test_total_info_margin(self):
+        lhs, rhs = np.array([2.0, 2.0 + 5e-10, 2.0 + 2e-9]), np.full(3, 2.0)
+        score, margin, failed, _ = mq.IDENTITIES["eq23"].verdict(lhs, rhs, 1e-9)
+        assert np.array_equal(margin, rhs - lhs) and np.array_equal(score, -margin)
+        assert failed.tolist() == [False, False, True]
+
+    def test_nan_fails(self):
+        nan = np.array([np.nan])
+        for name in MIXED_IDENTITIES:
+            assert mq.IDENTITIES[name].verdict(nan, nan, 1e-9)[2].tolist() == [True]
+
+
+def _mixed_loop_summaries(names, m, trials, base_seed, tol, rank=None):
+    """Reference: one density matrix per trial through the public one-state checkers."""
+    checkers = {
+        "eq24": mq.residual_mixed_pair,
+        "eq25": mq.residual_mixed_triple,
+        "eq23": mq.mixed_total_info_margin,
+    }
+    out = {
+        name: {"max_residual": 0.0, "failures": 0, "worst_seed": None, "min_margin": None}
+        for name in names
+    }
+    worst = dict.fromkeys(names)
+    for trial in range(trials):
+        seed = derive_seed(base_seed, trial)
+        rho = mq.random_mixed(m, rank or trial % 2**m + 1, seed)
+        for name in names:
+            s = out[name]
+            rep = checkers[name](rho, tol=tol)
+            margin = rep.context["margin"]
+            score = -margin if name == "eq23" else abs(rep.residual)
+            if worst[name] is None or score > worst[name]:
+                worst[name], s["worst_seed"] = score, seed
+            s["max_residual"] = max(s["max_residual"], score)
+            s["failures"] += not rep.passed
+            s["min_margin"] = margin if s["min_margin"] is None else min(s["min_margin"], margin)
+    return out
+
+
+class TestMixedEngine:
+    # trial counts span several chunks from m = 4 up (32, 8, 2 and 1 states each)
+    @pytest.mark.parametrize("m, trials", [(1, 4), (2, 12), (3, 16), (4, 40), (5, 20), (6, 5), (7, 3)])
+    @pytest.mark.parametrize("tol", [1e-9, 1e-30])
+    def test_fuzz_matches_per_state_loop(self, m, trials, tol):
+        names = mq.applicable("mixed", m)
+        loop = _mixed_loop_summaries(names, m, trials, 11, tol)
+        for s in mq.fuzz(names, m, trials, 11, tol):
+            ref = loop[s["identity"]]
+            for key in ("failures", "max_residual", "min_margin", "worst_seed"):
+                assert s[key] == ref[key], key
+            worst = mq.random_mixed(m, (s["worst_seed"] - 11 * MAX_TRIALS) % 2**m + 1, s["worst_seed"])
+            assert np.array_equal(s["worst_state"].matrix, worst.matrix)
+
+    def test_fixed_rank_matches_per_state_loop(self):
+        loop = _mixed_loop_summaries(["eq25", "eq23"], 3, 12, 2, 1e-30, rank=2)
+        for s in mq.fuzz(["eq25", "eq23"], 3, 12, 2, 1e-30, rank=2):
+            ref = loop[s["identity"]]
+            assert (s["failures"], s["max_residual"], s["worst_seed"]) == (
+                ref["failures"], ref["max_residual"], ref["worst_seed"]
+            )
+
+    def test_failures_occur_at_a_tiny_tol(self):
+        [pair, total] = mq.fuzz(["eq24", "eq23"], 2, 40, 3, tol=1e-30)
+        assert pair["failures"] > 0 and pair["tolerance"] == 1e-30
 
 
 class TestBatchedEngine:

@@ -290,6 +290,32 @@ class TestMixedInfos:
             assert a.entries[s] == pytest.approx(b.entries[s], abs=1e-9)
 
 
+class TestSpectrumValues:
+    """The stacked spectrum table against the partial-trace oracle."""
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_matches_partial_trace_oracle(self, m):
+        states = [mq.random_mixed(m, rank, 50 + m + rank) for rank in sorted({1, 2, 2**m})]
+        values, purities, overlaps = measures.spectrum_values(np.array([s.matrix for s in states]))
+        assert values.shape == purities.shape == overlaps.shape == (len(states), 2**m)
+        for rho, vals, purs, ovls in zip(states, values, purities, overlaps):
+            assert np.array_equal(vals, mq.all_infos_mixed(rho).values)
+            assert purs[0] == pytest.approx(1.0, abs=1e-12)
+            for mask in range(1, 2**m):
+                reduced = mq.partial_trace(rho, [q for q in range(1, m + 1) if mask >> (q - 1) & 1])
+                assert abs(purs[mask] - mq.purity(reduced)) <= 1e-12
+                assert abs(ovls[mask] - mq.tilde_overlap(reduced)) <= 1e-12
+                tilde = mq.spin_flip(reduced).matrix
+                assert abs(ovls[mask] - np.trace(reduced.matrix @ tilde).real) <= 1e-12
+
+    def test_rows_equal_one_state_calls(self):
+        states = [mq.random_mixed(3, rank, rank) for rank in range(1, 9)]
+        stacked = measures.spectrum_values(np.array([s.matrix for s in states]))
+        for row, rho in enumerate(states):
+            for whole, alone in zip(stacked, measures.spectrum_values(rho.matrix[None])):
+                assert np.array_equal(whole[row], alone[0])
+
+
 class TestInfoTableExport:
     def test_json_obj(self, ghz3):
         obj = mq.all_infos_fast(ghz3).to_json_obj()

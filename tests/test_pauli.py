@@ -201,6 +201,14 @@ class TestPauliSpectrum:
             assert abs(pure_spec[k] - mq.expectation_pure(psi, p)) <= 1e-12
             assert abs(mixed_spec[k] - mq.expectation_mixed(rho, p)) <= 1e-12
 
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_stack_rows_equal_one_matrix(self, m):
+        mats = np.array([mq.random_mixed(m, rank, rank).matrix for rank in (1, 2, 2**m)])
+        stacked = pauli_spectrum(mats, m)
+        assert stacked.shape == (3, 4**m)
+        for mat, row in zip(mats, stacked):
+            assert np.array_equal(row, pauli_spectrum(mat, m))
+
     def test_non_hermitian_raises(self):
         mat = np.eye(4, dtype=complex) / 4
         mat[0, 1] = 0.25  # no matching [1, 0] entry: tr(M X) and tr(M Y) turn complex

@@ -117,6 +117,16 @@ class TestRandomMixed:
         with pytest.raises(ValueError, match="rank"):
             mq.random_mixed(2, 5, 0)
 
+    @pytest.mark.parametrize("ranks, seeds", [([1, 2, 3], [5]), ([1], [5, 6, 7])])
+    def test_ranks_and_seeds_must_pair_up(self, ranks, seeds):
+        with pytest.raises(ValueError, match="ranks for"):
+            statekit.random_mixed_states(2, ranks, seeds)
+
+    def test_empty_batches(self):
+        stack = statekit.random_pure_stack(3, [])
+        assert stack.shape == (0, 8) and stack.dtype == np.complex128
+        assert statekit.random_mixed_states(2, [], []) == []
+
 
 # seeds of 1, 1, 2, 3, 4, 5 and 7 32-bit entropy words
 SEED_WORDS = [0, 2**32 - 1, 2**32, 2**64, 2**96 + 5, 2**128 + 3, 2**200]
@@ -247,6 +257,25 @@ class TestValidation:
         mat[0, 1] = 0.1
         with pytest.raises(ValueError, match="Hermitian"):
             MixedState(1, mat)
+
+    def test_stores_the_hermitian_part(self):
+        mat = np.eye(4, dtype=complex) / 4
+        mat[0, 1] = mat[1, 0] = 0.49e-10j  # anti-Hermitian, inside HERM_TOL
+        rho = MixedState(2, mat)
+        assert np.array_equal(rho.matrix, np.eye(4) / 4)
+
+    def test_trace_checked_before_the_hermitian_part_is_taken(self):
+        # each diagonal entry passes HERM_TOL, but their imaginary parts add up
+        mat = (np.eye(128) / 128).astype(complex) + 0.49e-10j * np.eye(128)
+        with pytest.raises(ValueError, match="trace"):
+            MixedState(7, mat)
+
+    @pytest.mark.parametrize("m", [1, 4, 7])
+    def test_exactly_hermitian_kept_bit_for_bit(self, m):
+        rho = mq.random_mixed(m, 2, m)
+        again = MixedState(m, rho.matrix)
+        assert again.matrix.tobytes() == rho.matrix.tobytes()
+        assert mq.state_to_json(mq.state_from_json(mq.state_to_json(rho))) == mq.state_to_json(rho)
 
     def test_bad_trace_rejected(self):
         with pytest.raises(ValueError, match="trace"):
