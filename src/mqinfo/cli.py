@@ -7,8 +7,9 @@ Subcommands:
   bench        time the fast route against the enumeration oracle
 
 Which identities run for a qubit count comes from the registry in
-``identities``; fuzz and ``mixed-check --random`` share one fuzz call, one
-witness step and one summary format.
+``identities``.  report and ``mixed-check --rho`` build their reports in one
+loop of ``identities.check`` calls; fuzz and ``mixed-check --random`` share
+one fuzz call, one witness step and one summary format.
 
 Exit codes: 0 all checks pass, 1 a tolerance failure, 2 input/usage error
 (a --tol that is negative, infinite or NaN included).
@@ -25,7 +26,7 @@ from functools import cache
 
 import numpy as np
 
-from .identities import EQ_TOL, IDENTITIES, PURE_IDENTITIES, _check_tol, applicable, fuzz
+from .identities import EQ_TOL, IDENTITIES, PURE_IDENTITIES, _check_tol, applicable, check, fuzz
 from .measures import (
     all_infos_enumerated,
     all_infos_fast,
@@ -90,6 +91,16 @@ def _save_witness(summary, out, several):
     summary["witness_path"] = path
 
 
+def _reports(kind, state, table, tol):
+    """Every report of the applicable ``kind`` identities: one ``check`` call each."""
+    n = state.num_qubits
+    return [
+        check(name, state, table, tol, **case)
+        for name in applicable(kind, n)
+        for case in IDENTITIES[name].cases(n)
+    ]
+
+
 def _frac_hint(x):
     if abs(x) > 64:
         return ""
@@ -107,7 +118,7 @@ def _build_report(psi, tol):
     n = psi.num_qubits
     table = all_infos_fast(psi)
     names = applicable("pure", n)
-    reports = [rep for name in names for rep in IDENTITIES[name].check(psi, table, tol)]
+    reports = _reports("pure", psi, table, tol)
     qubits = range(1, n + 1)
     # the taus the one-vs-rest (eq14) and pair-vs-rest (eq20) relations use
     taus_single = (
@@ -216,18 +227,23 @@ def cmd_fuzz(args):
     return _emit_fuzz(fuzz(names, args.n, args.trials, args.seed, args.tol), args, every)
 
 
+# mixed-check options that only the random source uses; None means not given
+_RANDOM_ONLY = ("m", "rank", "trials", "seed", "out")
+
+
 def cmd_mixed_check(args):
     if args.random:
-        names = applicable("mixed", args.m)
-        summaries = fuzz(names, args.m, args.trials, args.seed, args.tol, args.rank)
+        m = 2 if args.m is None else args.m
+        trials = 100 if args.trials is None else args.trials
+        seed = 0 if args.seed is None else args.seed
+        names = applicable("mixed", m)
+        summaries = fuzz(names, m, trials, seed, args.tol, args.rank)
         return _emit_fuzz(summaries, args, len(names) > 1)
 
-    rho = _resolve_mixed(args.rho)
-    reports = [
-        rep
-        for name in applicable("mixed", rho.num_qubits)
-        for rep in IDENTITIES[name].check(rho, None, args.tol)
-    ]
+    unused = [f"--{opt}" for opt in _RANDOM_ONLY if getattr(args, opt) is not None]
+    if unused:
+        raise ValueError(f"--rho does not take {', '.join(unused)}; they are --random options")
+    reports = _reports("mixed", _resolve_mixed(args.rho), None, args.tol)
     if args.format == "json":
         print(json.dumps([r.to_json_obj() for r in reports], sort_keys=True))
     else:
@@ -301,15 +317,17 @@ def build_parser():
     fz.set_defaults(func=cmd_fuzz)
 
     mx = sub.add_parser("mixed-check", help="mixed-state relation checks")
-    mx.add_argument("--rho", default=None, help="maximally-mixed:m or file:path")
-    mx.add_argument("--random", action="store_true")
-    mx.add_argument("--m", type=int, default=2)
-    mx.add_argument("--rank", type=int, default=None)
-    mx.add_argument("--trials", type=int, default=100)
-    mx.add_argument("--seed", type=int, default=0)
+    source = mx.add_mutually_exclusive_group(required=True)
+    source.add_argument("--rho", help="maximally-mixed:m or file:path")
+    source.add_argument("--random", action="store_true")
+    # the random source's options; its defaults are --m 2, --trials 100, --seed 0
+    mx.add_argument("--m", type=int)
+    mx.add_argument("--rank", type=int)
+    mx.add_argument("--trials", type=int)
+    mx.add_argument("--seed", type=int)
     mx.add_argument("--tol", type=float, default=EQ_TOL)
     mx.add_argument("--format", choices=("table", "json"), default="table")
-    mx.add_argument("--out", default=None)
+    mx.add_argument("--out")
     mx.set_defaults(func=cmd_mixed_check)
 
     bn = sub.add_parser("bench", help="time fast route vs enumeration oracle")
@@ -323,8 +341,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "mixed-check" and not args.random and args.rho is None:
-        parser.error("mixed-check needs --rho or --random")
     try:
         if "tol" in args:
             _check_tol(args.tol, "--tol")

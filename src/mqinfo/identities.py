@@ -1,20 +1,19 @@
-"""The paper's relations: residual checkers, the identity registry, the fuzz driver.
-
-Each checker evaluates both sides of one equality (or the margin of one
-inequality) on a concrete state and returns an IdentityReport.  Checkers are
-pure functions, and reject a tolerance that is negative, infinite or NaN.
-Each relation's arithmetic is one array function over a stack of states
-(their information values, purities, and amplitudes or spin-flip overlaps,
-one row each); its public ``residual_*`` checker is a one-state call of it.
+"""The paper's relations: the identity registry, its checkers, the fuzz driver.
 
 ``IDENTITIES`` is the one table of the relations, in output order: eq1b,
 eq14, eq20, eq12, eq26 on pure states, then eq24, eq25, eq23 on density
-matrices.  Each entry gives the kind, the qubit counts it applies to, and a
-checker returning every report the relation makes on one state.  report,
-fuzz and mixed-check take what they run from ``applicable``.  ``fuzz`` draws
-one seeded random state per trial, in chunks, one chunk path for both kinds:
-a chunk's tables come from one ``info_values`` (pure) or ``spectrum_values``
-(mixed) call, and the array functions check the whole chunk at once.
+matrices.  Each row describes its relation once (see ``Identity``): kind,
+qubit counts, report label, cases, extra context, and the array function
+and verdict that check a stack of states.  report, fuzz and mixed-check take
+what they run from ``applicable``.  One private step, ``_evaluate``, checks
+every relation.  ``check`` calls it on one state and returns one
+IdentityReport, and each report is exactly one public call, because
+mqbench's span tracer counts one check per report a public function returns.
+The ``residual_*`` checkers are calls of ``check``.  ``fuzz`` draws one
+seeded random state per trial, in chunks, one chunk path for both kinds: a
+chunk's tables come from one ``info_values`` (pure) or ``spectrum_values``
+(mixed) call, and ``_evaluate`` checks the whole chunk at once.  Checkers
+are pure functions, and reject a tolerance that is negative, infinite or NaN.
 
 Conventions resolved here (fixed by the explicit small-n instances):
   * the one-vs-rest sum runs over all subsets containing qubit k with
@@ -66,15 +65,7 @@ class IdentityReport:
     context: dict = field(default_factory=dict)
 
     def to_json_obj(self):
-        return {
-            "identity": self.identity,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "context": self.context,
-        }
+        return dict(vars(self))  # the fields in order; context is shared
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +77,8 @@ class IdentityReport:
 # density matrices overlaps, tr(rho_S rho~_S) by mask; the result is the
 # (B,) left- and right-hand sides.  A verdict function maps them to (score,
 # margin or None, failed, gate), the largest score being the worst case.
-# The public residual_* checkers are one-state calls of these; fuzz calls
-# them on whole chunks.
+# ``_evaluate`` runs them, on one state for ``check`` and on whole chunks
+# for fuzz.
 
 def _check_tol(tol, name="tol"):
     # an infinite or NaN tolerance would pass every check vacuously
@@ -165,70 +156,36 @@ def _equality_verdict(lhs, rhs, tol):
     return res, None, ~(res <= tol), tol
 
 
-def _report(label, name, arrays, tol, context, *case):
-    """One state's IdentityReport of identity ``name``: its array functions
-    on ``arrays``, that state's one-row tables.  A margin joins the context."""
-    _check_tol(tol)
-    ident = IDENTITIES[name]
-    lhs, rhs = ident.sides(*arrays, *case)
-    _, margin, failed, gate = ident.verdict(lhs, rhs, tol)
-    if margin is not None:
-        context["margin"] = float(margin[0])
-    lhs, rhs = float(lhs[0]), float(rhs[0])
-    return IdentityReport(label, lhs, rhs, lhs - rhs, gate, not failed[0], context)
-
-
-def _pure_arrays(psi, table):
-    """One-row (values, purities, amps) of a pure state, from its table if given."""
-    table = table if table is not None else all_infos_fast(psi)
-    amps = psi.amplitudes[None]
-    purities = table.purities
-    if purities is None:  # an oracle table carries none
-        purities = pure_subset_purities(amps)[0]
-    return table.values[None], purities[None], amps
-
-
 def residual_complementarity(psi, table=None, tol=EQ_TOL):
     """Sum of every subset information value equals the qubit count."""
-    return _report("complementarity", "eq1b", _pure_arrays(psi, table), tol, {"n": psi.num_qubits})
+    return check("eq1b", psi, table, tol)
 
 
 def residual_single_partition(psi, k, table=None, tol=EQ_TOL):
     """(2^(n-2)+1) tau_k(rest) = sum of I_S over S containing k, |S| >= 2."""
     n = psi.num_qubits
-    if n < 2:
-        raise ValueError("needs at least 2 qubits")
     if not (1 <= k <= n):
         raise ValueError(f"qubit {k} outside 1..{n}")
-    arrays = _pure_arrays(psi, table)
-    return _report("single-partition", "eq14", arrays, tol, {"n": n, "k": k}, k)
+    return check("eq14", psi, table, tol, k=k)
 
 
 def residual_pair_partition(psi, pair, table=None, tol=EQ_TOL):
     """2(2^(n-4)+1) tau_pair(rest) = sum of I_S over crossing subsets."""
     n = psi.num_qubits
-    if n < 4:
-        raise ValueError("needs at least 4 qubits")
     pair = tuple(sorted(set(pair)))
     if len(pair) != 2 or pair[0] < 1 or pair[1] > n:
         raise ValueError(f"bad pair {pair} for n={n}")
-    arrays = _pure_arrays(psi, table)
-    return _report("pair-partition", "eq20", arrays, tol, {"n": n, "pair": list(pair)}, pair)
+    return check("eq20", psi, table, tol, pair=list(pair))
 
 
 def residual_tangle_relation_4q(psi, table=None, tol=EQ_TOL):
     """Pair-sum minus singleton-sum equals 4(tangle - 1) on four qubits."""
-    if psi.num_qubits != 4:
-        raise ValueError("defined for exactly 4 qubits")
-    context = {"n": 4, "tangle": n_tangle(psi)}
-    return _report("four-qubit-tangle", "eq12", _pure_arrays(psi, table), tol, context)
+    return check("eq12", psi, table, tol)
 
 
 def residual_combination_4q(psi, table=None, tol=EQ_TOL):
     """5*sum of one-vs-rest taus minus 4*sum of pair-partition taus = I_1234."""
-    if psi.num_qubits != 4:
-        raise ValueError("defined for exactly 4 qubits")
-    return _report("four-qubit-combination", "eq26", _pure_arrays(psi, table), tol, {"n": 4})
+    return check("eq26", psi, table, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +231,7 @@ def residual_mixed_pair(rho, tol=MIXED_PAIR_TOL):
     ``tolerance``.  The context carries the corollary margin 1 - lhs >= 0;
     ``passed`` requires both the equality and the corollary.
     """
-    if rho.num_qubits != 2:
-        raise ValueError("defined for exactly 2 qubits")
-    return _report("mixed-pair", "eq24", spectrum_values(rho.matrix[None]), tol, {"m": 2})
+    return check("eq24", rho, tol=tol)
 
 
 def residual_mixed_triple(rho, tol=EQ_TOL):
@@ -284,15 +239,12 @@ def residual_mixed_triple(rho, tol=EQ_TOL):
 
     Context carries the nonnegativity margin of the left-hand side.
     """
-    if rho.num_qubits != 3:
-        raise ValueError("defined for exactly 3 qubits")
-    return _report("mixed-triple", "eq25", spectrum_values(rho.matrix[None]), tol, {"m": 3})
+    return check("eq25", rho, tol=tol)
 
 
 def mixed_total_info_margin(rho, tol=INEQ_TOL):
     """Total information of a density matrix is at most the qubit count."""
-    context = {"m": rho.num_qubits}
-    return _report("mixed-total-info", "eq23", spectrum_values(rho.matrix[None]), tol, context)
+    return check("eq23", rho, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -300,89 +252,79 @@ def mixed_total_info_margin(rho, tol=INEQ_TOL):
 # ---------------------------------------------------------------------------
 
 def _single(n):
-    return [()]
+    return [{}]
 
 
 def _each_qubit(n):
-    return [(k,) for k in range(1, n + 1)]
+    return [{"k": k} for k in range(1, n + 1)]
 
 
 def _each_pair(n):
-    return [(pair,) for pair in itertools.combinations(range(1, n + 1), 2)]
+    return [{"pair": list(pair)} for pair in itertools.combinations(range(1, n + 1), 2)]
 
 
 @dataclass(frozen=True)
 class Identity:
-    """One of the paper's relations, as report, fuzz and mixed-check run it.
+    """One of the paper's relations: the one registry row that describes it.
 
-    ``check(state, table, tol)`` returns the relation's IdentityReports for
-    one state; ``table`` is the state's all_infos_fast table (None for a
-    density matrix).  ``requirement`` names the qubit count that
-    ``applies`` accepts, for error messages.  ``sides`` is the relation's
-    array function over a stack of states, called once per argument tuple
-    in ``cases(n)``, one report each, in order; ``verdict(lhs, rhs, tol)``
-    gives its (score, margin, failed, gate) arrays, the worst case being the
-    largest score: an equality's |residual|, an inequality's -margin.
+    ``applies(n)`` accepts the qubit counts it holds for; ``requirement``
+    names them for errors.  ``sides(values, purities, amps_or_overlaps,
+    **case)`` gives the (B,) left- and right-hand sides over a stack of
+    states, and ``verdict(lhs, rhs, tol)`` their (score, margin or None,
+    failed, gate), the largest score being the worst case: an equality's
+    |residual|, an inequality's -margin.  ``cases(n)`` lists one state's
+    ``sides`` keyword dicts, one report each, in order: ``{}``,
+    ``{"k": k}`` or ``{"pair": [a, b]}``; each is also its report's context.
+    ``label`` names the reports; ``context(state)`` adds the row's own
+    context (eq12's tangle).
+
+    A report is exactly one public call (``check``): mqbench's tracer counts
+    one identity check per IdentityReport a public function returns, so a
+    public call reached through another would count twice.
     """
 
     kind: str
     applies: Callable[[int], bool]
     requirement: str
-    check: Callable
+    label: str
     sides: Callable
     cases: Callable[[int], list] = _single
     verdict: Callable = _equality_verdict
+    context: Callable = lambda state: {}
 
 
-# Table order is output order.  The checkers look the residual functions up
-# at call time, so wrappers installed on the module are seen.
+# Table order is output order.
 IDENTITIES = {
     "eq1b": Identity(
-        "pure", lambda n: True, "--n >= 1",
-        lambda psi, table, tol: [residual_complementarity(psi, table, tol)],
-        sides=_complementarity_sides,
+        "pure", lambda n: True, "--n >= 1", "complementarity", _complementarity_sides,
     ),
     "eq14": Identity(
-        "pure", lambda n: n >= 2, "--n >= 2",
-        lambda psi, table, tol: [
-            residual_single_partition(psi, k, table, tol)
-            for (k,) in _each_qubit(psi.num_qubits)
-        ],
-        sides=_single_partition_sides, cases=_each_qubit,
+        "pure", lambda n: n >= 2, "--n >= 2", "single-partition", _single_partition_sides,
+        cases=_each_qubit,
     ),
     "eq20": Identity(
-        "pure", lambda n: n >= 4, "--n >= 4",
-        lambda psi, table, tol: [
-            residual_pair_partition(psi, pair, table, tol)
-            for (pair,) in _each_pair(psi.num_qubits)
-        ],
-        sides=_pair_partition_sides, cases=_each_pair,
+        "pure", lambda n: n >= 4, "--n >= 4", "pair-partition", _pair_partition_sides,
+        cases=_each_pair,
     ),
     "eq12": Identity(
-        "pure", lambda n: n == 4, "--n 4",
-        lambda psi, table, tol: [residual_tangle_relation_4q(psi, table, tol)],
-        sides=_tangle_relation_sides,
+        "pure", lambda n: n == 4, "--n 4", "four-qubit-tangle", _tangle_relation_sides,
+        context=lambda psi: {"tangle": n_tangle(psi)},
     ),
     "eq26": Identity(
-        "pure", lambda n: n == 4, "--n 4",
-        lambda psi, table, tol: [residual_combination_4q(psi, table, tol)],
-        sides=_combination_sides,
+        "pure", lambda n: n == 4, "--n 4", "four-qubit-combination", _combination_sides,
     ),
     "eq24": Identity(
-        "mixed", lambda m: m == 2, "--m 2",
-        lambda rho, table, tol: [residual_mixed_pair(rho, tol)],
-        sides=_mixed_pair_sides, verdict=_mixed_pair_verdict,
+        "mixed", lambda m: m == 2, "--m 2", "mixed-pair", _mixed_pair_sides,
+        verdict=_mixed_pair_verdict,
     ),
     "eq25": Identity(
-        "mixed", lambda m: m == 3, "--m 3",
-        lambda rho, table, tol: [residual_mixed_triple(rho, tol)],
-        sides=_mixed_triple_sides, verdict=_mixed_triple_verdict,
+        "mixed", lambda m: m == 3, "--m 3", "mixed-triple", _mixed_triple_sides,
+        verdict=_mixed_triple_verdict,
     ),
     # the total information is eq1b's sum, taken over a density matrix's table
     "eq23": Identity(
-        "mixed", lambda m: True, "--m >= 1",
-        lambda rho, table, tol: [mixed_total_info_margin(rho, tol)],
-        sides=_complementarity_sides, verdict=_inequality_verdict,
+        "mixed", lambda m: True, "--m >= 1", "mixed-total-info", _complementarity_sides,
+        verdict=_inequality_verdict,
     ),
 }
 PURE_IDENTITIES = tuple(k for k, v in IDENTITIES.items() if v.kind == "pure")
@@ -395,6 +337,61 @@ def applicable(kind, n):
         name for name, ident in IDENTITIES.items()
         if ident.kind == kind and ident.applies(n)
     ]
+
+
+def _identity(name, n):
+    """The registry row ``name``, checked to apply to ``n`` qubits."""
+    ident = IDENTITIES.get(name)
+    if ident is None:
+        raise ValueError(f"unknown identity {name!r}")
+    if not ident.applies(n):
+        raise ValueError(f"{name} requires {ident.requirement}")
+    return ident
+
+
+def _evaluate(ident, arrays, cases, tol):
+    """(lhs, rhs, score, margin, failed, gate) of row ``ident`` on a stack of states.
+
+    ``arrays`` are the stack's tables and ``cases`` keyword dicts of the
+    row's ``sides``.  The arrays are (B, cases): one row per state, one
+    column per case; ``margin`` is None where the verdict gives none.
+    """
+    sides = np.array([ident.sides(*arrays, **case) for case in cases])
+    lhs, rhs = sides.transpose(1, 2, 0)  # (cases, 2, B) to (B, cases) each
+    return lhs, rhs, *ident.verdict(lhs, rhs, tol)
+
+
+def check(name, state, table=None, tol=EQ_TOL, **case):
+    """The IdentityReport of identity ``name`` on one state, for one case.
+
+    ``case`` is one of the row's ``cases(n)``, unvalidated here (the public
+    checkers validate theirs).  ``table``, a pure state's InfoTable, is
+    computed when None and ignored for a density matrix.  The context holds
+    the qubit count (``n`` or ``m``), the case, the row's own context and
+    any ``margin``.
+    """
+    n = state.num_qubits
+    ident = _identity(name, n)
+    if isinstance(state, PureState) != (ident.kind == "pure"):
+        raise ValueError(f"{name} is a {ident.kind}-state identity")
+    _check_tol(tol)
+    if ident.kind == "pure":
+        table = table if table is not None else all_infos_fast(state)
+        amps = state.amplitudes[None]
+        purities = table.purities
+        if purities is None:  # an oracle table carries none
+            purities = pure_subset_purities(amps)[0]
+        arrays = table.values[None], purities[None], amps
+        context = {"n": n}
+    else:
+        arrays = spectrum_values(state.matrix[None])
+        context = {"m": n}
+    lhs, rhs, _, margin, failed, gate = _evaluate(ident, arrays, [case], tol)
+    context.update(case, **ident.context(state))
+    if margin is not None:
+        context["margin"] = float(margin[0, 0])
+    lhs, rhs = float(lhs[0, 0]), float(rhs[0, 0])
+    return IdentityReport(ident.label, lhs, rhs, lhs - rhs, gate, not failed[0, 0], context)
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +407,10 @@ def derive_seed(base_seed, trial):
 
 
 def _chunk(idents, n, seeds, tol, ranks):
-    """Per identity (score, failed, margin, gate, states) of one chunk of trials.
+    """The states of one chunk of trials, and per identity its ``_evaluate`` arrays.
 
     The states are pure (``ranks`` None), drawn as one amplitude stack, or
-    density matrices of the given ranks.  ``score`` (|residual|, or -margin
-    for an inequality), ``failed`` and ``margin`` (or None) are (B, cases):
-    one row per state, one column per report the identity makes.
+    density matrices of the given ranks.
     """
     if ranks is None:
         states = random_pure_stack(n, seeds)
@@ -423,13 +418,7 @@ def _chunk(idents, n, seeds, tol, ranks):
     else:
         states = random_mixed_states(n, ranks, seeds)
         arrays = spectrum_values(np.array([rho.matrix for rho in states]))
-    out = []
-    for ident in idents:
-        sides = np.array([ident.sides(*arrays, *case) for case in ident.cases(n)])
-        lhs, rhs = sides.transpose(1, 2, 0)  # (cases, 2, B) to (B, cases) each
-        score, margin, failed, gate = ident.verdict(lhs, rhs, tol)
-        out.append((score, failed, margin, gate, states))
-    return out
+    return states, [_evaluate(ident, arrays, ident.cases(n), tol) for ident in idents]
 
 
 def fuzz(names, n, trials, base_seed, tol=EQ_TOL, rank=None):
@@ -454,13 +443,7 @@ def fuzz(names, n, trials, base_seed, tol=EQ_TOL, rank=None):
     is the gate the checker applied.  Mixed summaries add ``rank`` and the
     smallest margin; the qubit count is ``n`` for pure and ``m`` for mixed.
     """
-    for name in names:
-        ident = IDENTITIES.get(name)
-        if ident is None:
-            raise ValueError(f"unknown identity {name!r}")
-        if not ident.applies(n):
-            raise ValueError(f"{name} requires {ident.requirement}")
-    idents = [IDENTITIES[name] for name in names]
+    idents = [_identity(name, n) for name in names]
     if len({ident.kind for ident in idents}) != 1:
         raise ValueError(f"fuzz needs identities of one kind, got {names!r}")
     # more trials than MAX_TRIALS would reuse the next base seed's states
@@ -483,8 +466,8 @@ def fuzz(names, n, trials, base_seed, tol=EQ_TOL, rank=None):
         ranks = None if pure else [
             rank if rank is not None else t % 2**n + 1 for t in range(start, start + len(seeds))
         ]
-        results = _chunk(idents, n, seeds, tol, ranks)
-        for i, (s, (score, failed, margin, gate, states)) in enumerate(zip(summaries, results)):
+        states, results = _chunk(idents, n, seeds, tol, ranks)
+        for i, (s, (_, _, score, margin, failed, gate)) in enumerate(zip(summaries, results)):
             # argmax takes the first of equal scores: the first strict maximum wins
             at = int(np.argmax(score))
             if worst[i] is None or score.flat[at] > worst[i]:

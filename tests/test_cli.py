@@ -61,6 +61,31 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_table_context_shapes(self, capsys):
+        assert main(["report", "--state", "ghz:4"]) == 0
+        out = capsys.readouterr().out
+        at = [out.index(shape) for shape in ("{'k': 1}", "{'pair': [1, 2]}", "{'tangle': ")]
+        assert at == sorted(at)
+        assert re.search(r"\[pass\] complementarity .* \{\}\n", out)
+
+    def test_json_context_keys(self, capsys):
+        from itertools import combinations
+
+        assert main(["report", "--state", "ghz:4", "--format", "json"]) == 0
+        reports = json.loads(capsys.readouterr().out)["identities"]
+        keys = [(r["identity"], sorted(r["context"])) for r in reports]
+        assert keys == (
+            [("complementarity", ["n"])]
+            + [("single-partition", ["k", "n"])] * 4
+            + [("pair-partition", ["n", "pair"])] * 6
+            + [("four-qubit-tangle", ["n", "tangle"]), ("four-qubit-combination", ["n"])]
+        )
+        assert all(r["context"]["n"] == 4 for r in reports)
+        assert [r["context"]["k"] for r in reports[1:5]] == [1, 2, 3, 4]
+        assert [r["context"]["pair"] for r in reports[5:11]] == [
+            list(pair) for pair in combinations(range(1, 5), 2)
+        ]
+
     def test_out_file(self, tmp_path):
         dest = tmp_path / "report.json"
         assert main(
@@ -236,6 +261,41 @@ class TestMixedCheck:
         with pytest.raises(SystemExit) as exc:
             main(["mixed-check"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--random", "--rho", "maximally-mixed:3", "--m", "2", "--trials", "2"],
+            ["--rho", "maximally-mixed:2", "--rank", "3", "--trials", "5"],
+            ["--rho", "maximally-mixed:2", "--m", "2"],
+            ["--rho", "maximally-mixed:2", "--seed", "0"],
+            ["--rho", "maximally-mixed:2", "--out", "w.json"],
+        ],
+    )
+    def test_options_of_the_other_source_exit_2(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = main(["mixed-check", *argv])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not list(tmp_path.iterdir())
+        assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+
+    def test_random_defaults(self, capsys):
+        assert main(["mixed-check", "--random", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [(r["m"], r["trials"]) for r in rows] == [(2, 100), (2, 100)]
+        [alone] = mq.fuzz(["eq24"], 2, 100, 0)
+        assert rows[0]["worst_seed"] == alone["worst_seed"]
+
+    @pytest.mark.parametrize("m, labels", [(2, ["mixed-pair"]), (3, ["mixed-triple"])])
+    def test_rho_json_contexts(self, m, labels, capsys):
+        assert main(["mixed-check", "--rho", f"maximally-mixed:{m}", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["identity"] for r in rows] == labels + ["mixed-total-info"]
+        for r in rows:
+            assert sorted(r["context"]) == ["m", "margin"] and r["context"]["m"] == m
 
     def test_checks_independent_of_partial_traces(self, monkeypatch, capsys):
         # the partial-trace route is the tests' oracle for the mixed checks

@@ -1,8 +1,19 @@
+import inspect
+import re
+
 import numpy as np
 import pytest
 
 import mqinfo as mq
-from mqinfo.identities import MAX_TRIALS, MIXED_IDENTITIES, MIXED_PAIR_TOL, derive_seed
+from mqinfo.identities import (
+    IDENTITIES,
+    MAX_TRIALS,
+    MIXED_IDENTITIES,
+    MIXED_PAIR_TOL,
+    _chunk,
+    check,
+    derive_seed,
+)
 
 
 def bell_pair_tensor():
@@ -263,10 +274,12 @@ class TestMixedTotalInfo:
 
 class TestReportStructure:
     def test_json_obj_fields(self, bell):
-        obj = mq.residual_complementarity(bell).to_json_obj()
-        assert set(obj) == {
+        rep = mq.residual_complementarity(bell)
+        obj = rep.to_json_obj()
+        assert list(obj) == [
             "identity", "lhs", "rhs", "residual", "tolerance", "passed", "context",
-        }
+        ]
+        assert obj["context"] is rep.context
 
     def test_residual_is_lhs_minus_rhs(self, w4):
         rep = mq.residual_single_partition(w4, 2)
@@ -276,6 +289,92 @@ class TestReportStructure:
         a = mq.residual_pair_partition(w4, (1, 3))
         b = mq.residual_pair_partition(w4, (1, 3))
         assert a == b
+
+
+# each identity's public checker, called with one case of its registry row
+PUBLIC = {
+    "eq1b": lambda state, tol: mq.residual_complementarity(state, tol=tol),
+    "eq14": lambda state, tol, k: mq.residual_single_partition(state, k, tol=tol),
+    "eq20": lambda state, tol, pair: mq.residual_pair_partition(state, pair, tol=tol),
+    "eq12": lambda state, tol: mq.residual_tangle_relation_4q(state, tol=tol),
+    "eq26": lambda state, tol: mq.residual_combination_4q(state, tol=tol),
+    "eq24": lambda state, tol: mq.residual_mixed_pair(state, tol=tol),
+    "eq25": lambda state, tol: mq.residual_mixed_triple(state, tol=tol),
+    "eq23": lambda state, tol: mq.mixed_total_info_margin(state, tol=tol),
+}
+# the qubit counts each kind allows
+SIZES = {"pure": range(1, 9), "mixed": range(1, 8)}
+
+
+def _state(kind, n, seed, rank=1):
+    return mq.random_pure(n, seed) if kind == "pure" else mq.random_mixed(n, rank, seed)
+
+
+class TestRegistryRows:
+    @pytest.mark.parametrize("tol", [1e-9, 1e-30])
+    @pytest.mark.parametrize(
+        "kind, n", [(kind, n) for kind, sizes in SIZES.items() for n in sizes]
+    )
+    def test_check_equals_public_checker_and_chunk_rows(self, kind, n, tol):
+        names = mq.applicable(kind, n)
+        seeds = [derive_seed(n, t) for t in range(3)]
+        ranks = None if kind == "pure" else [t % 2**n + 1 for t in range(3)]
+        _, results = _chunk([IDENTITIES[name] for name in names], n, seeds, tol, ranks)
+        for row, seed in enumerate(seeds):
+            state = _state(kind, n, seed, ranks[row] if ranks else 1)
+            for name, (lhs, rhs, *_) in zip(names, results):
+                cases = IDENTITIES[name].cases(n)
+                assert lhs.shape == rhs.shape == (len(seeds), len(cases))
+                for col, case in enumerate(cases):
+                    rep = check(name, state, tol=tol, **case)
+                    assert rep == PUBLIC[name](state, tol, **case)
+                    assert (rep.lhs, rep.rhs) == (lhs[row, col], rhs[row, col])
+
+    @pytest.mark.parametrize("name", list(IDENTITIES))
+    def test_case_keys_are_keywords_of_sides(self, name):
+        ident = IDENTITIES[name]
+        keywords = list(inspect.signature(ident.sides).parameters)[3:]
+        for n in SIZES[ident.kind]:
+            if ident.applies(n):
+                for case in ident.cases(n):
+                    assert list(case) == keywords
+
+    @pytest.mark.parametrize(
+        "name, n",
+        [
+            (name, n)
+            for name, ident in IDENTITIES.items()
+            for n in SIZES[ident.kind]
+            # a pair needs two qubits before the qubit count is checked
+            if not ident.applies(n) and (name != "eq20" or n >= 2)
+        ],
+    )
+    def test_inapplicable_qubit_count(self, name, n):
+        state = _state(IDENTITIES[name].kind, n, n)
+        case = {"eq14": {"k": 1}, "eq20": {"pair": [1, 2]}}.get(name, {})
+        match = f"^{name} requires {re.escape(IDENTITIES[name].requirement)}$"
+        with pytest.raises(ValueError, match=match):
+            check(name, state, **case)
+        with pytest.raises(ValueError, match=match):
+            PUBLIC[name](state, 1e-9, **case)
+
+    def test_unknown_identity_or_kind(self, w4):
+        with pytest.raises(ValueError, match="unknown identity 'eq99'"):
+            check("eq99", w4)
+        with pytest.raises(ValueError, match="^eq23 is a mixed-state identity$"):
+            check("eq23", w4)
+        with pytest.raises(ValueError, match="^eq1b is a pure-state identity$"):
+            check("eq1b", mq.random_mixed(2, 1, 0))
+
+    @pytest.mark.parametrize("k", [0, -1, 5])
+    def test_bad_qubit(self, k, w4):
+        with pytest.raises(ValueError, match=rf"qubit {k} outside 1\.\.4"):
+            mq.residual_single_partition(w4, k)
+
+    @pytest.mark.parametrize("pair", [(1, 1), (0, 2), (3, 5), (1, 2, 3), ()])
+    def test_bad_pair(self, pair, w4):
+        with pytest.raises(ValueError, match="bad pair"):
+            mq.residual_pair_partition(w4, pair)
 
 
 class TestFuzzDriver:
