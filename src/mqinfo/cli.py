@@ -16,7 +16,6 @@ Exit codes: 0 all checks pass, 1 a tolerance failure, 2 input/usage error
 """
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -28,11 +27,11 @@ import numpy as np
 
 from .identities import EQ_TOL, IDENTITIES, PURE_IDENTITIES, _check_tol, applicable, check, fuzz
 from .measures import (
+    _subset_to_mask,
     all_infos_enumerated,
     all_infos_fast,
     concurrence_sq_2q,
     n_tangle,
-    tau_linear_entropy,
 )
 from .statekit import (
     MAX_MIXED_QUBITS,
@@ -117,18 +116,13 @@ def _frac_hint(x):
 def _build_report(psi, tol):
     n = psi.num_qubits
     table = all_infos_fast(psi)
-    names = applicable("pure", n)
     reports = _reports("pure", psi, table, tol)
-    qubits = range(1, n + 1)
-    # the taus the one-vs-rest (eq14) and pair-vs-rest (eq20) relations use
-    taus_single = (
-        {k: tau_linear_entropy(psi, (k,), table) for k in qubits} if "eq14" in names else {}
-    )
-    taus_pair = (
-        {p: tau_linear_entropy(psi, p, table) for p in itertools.combinations(qubits, 2)}
-        if "eq20" in names
-        else {}
-    )
+    # the taus of the one-vs-rest (eq14) and pair-vs-rest (eq20) cases
+    cases = {name: IDENTITIES[name].cases(n) for name in applicable("pure", n)}
+    tau = 2.0 * (1.0 - table.purities)
+    taus_single = {c["k"]: float(tau[1 << c["k"] - 1]) for c in cases.get("eq14", ())}
+    pairs = [tuple(c["pair"]) for c in cases.get("eq20", ())]
+    taus_pair = {p: float(tau[_subset_to_mask(p)]) for p in pairs}
     extras = {}
     if n % 2 == 0:
         extras["n_tangle"] = n_tangle(psi)

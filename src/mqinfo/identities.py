@@ -6,14 +6,15 @@ matrices.  Each row describes its relation once (see ``Identity``): kind,
 qubit counts, report label, cases, extra context, and the array function
 and verdict that check a stack of states.  report, fuzz and mixed-check take
 what they run from ``applicable``.  One private step, ``_evaluate``, checks
-every relation.  ``check`` calls it on one state and returns one
-IdentityReport, and each report is exactly one public call, because
-mqbench's span tracer counts one check per report a public function returns.
-The ``residual_*`` checkers are calls of ``check``.  ``fuzz`` draws one
-seeded random state per trial, in chunks, one chunk path for both kinds: a
-chunk's tables come from one ``info_values`` (pure) or ``spectrum_values``
-(mixed) call, and ``_evaluate`` checks the whole chunk at once.  Checkers
-are pure functions, and reject a tolerance that is negative, infinite or NaN.
+every relation on a stack of states; ``_check`` validates one state's case
+and evaluates it.  ``check`` and each ``residual_*`` checker are one
+``_check`` call, so each report is one public call, as mqbench's span
+tracer counts one check per report a public function returns.  ``fuzz``
+draws one seeded random state per trial, in chunks, one chunk path for both
+kinds: a chunk's tables come from one ``info_values`` (pure) or
+``spectrum_values`` (mixed) call, and ``_evaluate`` checks the whole chunk
+at once.  Checkers are pure functions and reject a negative, infinite or NaN
+tolerance, a ``k`` outside 1..n and a bad ``pair``.
 
 Conventions resolved here (fixed by the explicit small-n instances):
   * the one-vs-rest sum runs over all subsets containing qubit k with
@@ -158,34 +159,27 @@ def _equality_verdict(lhs, rhs, tol):
 
 def residual_complementarity(psi, table=None, tol=EQ_TOL):
     """Sum of every subset information value equals the qubit count."""
-    return check("eq1b", psi, table, tol)
+    return _check("eq1b", psi, table, tol)
 
 
 def residual_single_partition(psi, k, table=None, tol=EQ_TOL):
     """(2^(n-2)+1) tau_k(rest) = sum of I_S over S containing k, |S| >= 2."""
-    n = psi.num_qubits
-    if not (1 <= k <= n):
-        raise ValueError(f"qubit {k} outside 1..{n}")
-    return check("eq14", psi, table, tol, k=k)
+    return _check("eq14", psi, table, tol, k=k)
 
 
 def residual_pair_partition(psi, pair, table=None, tol=EQ_TOL):
     """2(2^(n-4)+1) tau_pair(rest) = sum of I_S over crossing subsets."""
-    n = psi.num_qubits
-    pair = tuple(sorted(set(pair)))
-    if len(pair) != 2 or pair[0] < 1 or pair[1] > n:
-        raise ValueError(f"bad pair {pair} for n={n}")
-    return check("eq20", psi, table, tol, pair=list(pair))
+    return _check("eq20", psi, table, tol, pair=pair)
 
 
 def residual_tangle_relation_4q(psi, table=None, tol=EQ_TOL):
     """Pair-sum minus singleton-sum equals 4(tangle - 1) on four qubits."""
-    return check("eq12", psi, table, tol)
+    return _check("eq12", psi, table, tol)
 
 
 def residual_combination_4q(psi, table=None, tol=EQ_TOL):
     """5*sum of one-vs-rest taus minus 4*sum of pair-partition taus = I_1234."""
-    return check("eq26", psi, table, tol)
+    return _check("eq26", psi, table, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +225,7 @@ def residual_mixed_pair(rho, tol=MIXED_PAIR_TOL):
     ``tolerance``.  The context carries the corollary margin 1 - lhs >= 0;
     ``passed`` requires both the equality and the corollary.
     """
-    return check("eq24", rho, tol=tol)
+    return _check("eq24", rho, None, tol)
 
 
 def residual_mixed_triple(rho, tol=EQ_TOL):
@@ -239,12 +233,12 @@ def residual_mixed_triple(rho, tol=EQ_TOL):
 
     Context carries the nonnegativity margin of the left-hand side.
     """
-    return check("eq25", rho, tol=tol)
+    return _check("eq25", rho, None, tol)
 
 
 def mixed_total_info_margin(rho, tol=INEQ_TOL):
     """Total information of a density matrix is at most the qubit count."""
-    return check("eq23", rho, tol=tol)
+    return _check("eq23", rho, None, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +271,6 @@ class Identity:
     ``{"k": k}`` or ``{"pair": [a, b]}``; each is also its report's context.
     ``label`` names the reports; ``context(state)`` adds the row's own
     context (eq12's tangle).
-
-    A report is exactly one public call (``check``): mqbench's tracer counts
-    one identity check per IdentityReport a public function returns, so a
-    public call reached through another would count twice.
     """
 
     kind: str
@@ -364,17 +354,34 @@ def _evaluate(ident, arrays, cases, tol):
 def check(name, state, table=None, tol=EQ_TOL, **case):
     """The IdentityReport of identity ``name`` on one state, for one case.
 
-    ``case`` is one of the row's ``cases(n)``, unvalidated here (the public
-    checkers validate theirs).  ``table``, a pure state's InfoTable, is
+    ``case`` is one of the row's ``cases(n)``: a ``k`` outside 1..n, or a
+    ``pair`` that is not two distinct qubits of 1..n, raises ValueError,
+    and a pair is taken sorted.  ``table``, a pure state's InfoTable, is
     computed when None and ignored for a density matrix.  The context holds
     the qubit count (``n`` or ``m``), the case, the row's own context and
     any ``margin``.
+    """
+    return _check(name, state, table, tol, **case)
+
+
+def _check(name, state, table, tol, **case):
+    """``check``'s body, one call per report of ``check`` and of each public checker.
+
+    mqbench's tracer counts one identity check per IdentityReport a public
+    function returns, so a public call reached through another counts twice.
     """
     n = state.num_qubits
     ident = _identity(name, n)
     if isinstance(state, PureState) != (ident.kind == "pure"):
         raise ValueError(f"{name} is a {ident.kind}-state identity")
     _check_tol(tol)
+    if "k" in case and not 1 <= case["k"] <= n:
+        raise ValueError(f"qubit {case['k']} outside 1..{n}")
+    if "pair" in case:
+        pair = tuple(sorted(set(case["pair"])))
+        if len(pair) != 2 or pair[0] < 1 or pair[1] > n:
+            raise ValueError(f"bad pair {pair} for n={n}")
+        case["pair"] = list(pair)
     if ident.kind == "pure":
         table = table if table is not None else all_infos_fast(state)
         amps = state.amplitudes[None]

@@ -15,9 +15,8 @@ from itertools import combinations
 
 import numpy as np
 
+from .pauli import IMAG_TOL
 from .statekit import MixedState, PureState
-
-IMAG_TOL = 1e-10
 
 
 def _split_axes(n, keep):
@@ -145,8 +144,8 @@ def pure_subset_purities(amps):
     is reached once; the traces run one subset size at a time over a whole
     batch.  A larger subset takes its complement's purity (equal for a pure
     state), except the full set, whose tr(rho^2) = <psi|psi>^2 comes from
-    the amplitudes, one vdot per state, so a normalisation error stays
-    visible.
+    the amplitudes, one ``vecdot`` over the stack, so a normalisation error
+    stays visible.
 
     The states go through the batches of ``_purity_plan(n)`` several at a
     time, as many as keep all their Schmidt blocks within
@@ -160,8 +159,7 @@ def pure_subset_purities(amps):
     batches, masks, step = _purity_plan(n)
     purities = np.empty((count, dim))
     purities[:, 0] = 1.0
-    for row, vec in zip(purities, amps):
-        row[full] = float(np.vdot(vec, vec).real) ** 2
+    purities[:, full] = np.vecdot(amps, amps).real ** 2
     if not batches:  # one qubit: only the empty and the full set
         return purities
     for start in range(0, count, step):

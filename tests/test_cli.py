@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 
@@ -85,6 +86,25 @@ class TestReport:
         assert [r["context"]["pair"] for r in reports[5:11]] == [
             list(pair) for pair in combinations(range(1, 5), 2)
         ]
+
+    @pytest.mark.parametrize("n, seed", [(n, 40 + n) for n in range(2, 9)] + [(10, 7)])
+    def test_json_taus_equal_tau_linear_entropy(self, n, seed, tmp_path, capsys):
+        # report reads its taus from the table's purities, not through tau_linear_entropy
+        path = tmp_path / "psi.json"
+        mq.save_state(mq.random_pure(n, seed), path)
+        psi = mq.load_state(path)
+        table = mq.all_infos_fast(psi)
+        assert main(["report", "--state", f"file:{path}", "--format", "json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        qubits = range(1, n + 1)
+        assert obj["tau_single"] == {
+            str(k): mq.tau_linear_entropy(psi, (k,), table) for k in qubits
+        }
+        assert obj["tau_pair"] == {
+            f"{a}-{b}": mq.tau_linear_entropy(psi, (a, b), table)
+            for a, b in itertools.combinations(qubits, 2)
+            if n >= 4
+        }
 
     def test_out_file(self, tmp_path):
         dest = tmp_path / "report.json"

@@ -1,10 +1,12 @@
 import inspect
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mqinfo as mq
+from mqinfo import identities
 from mqinfo.identities import (
     IDENTITIES,
     MAX_TRIALS,
@@ -345,8 +347,7 @@ class TestRegistryRows:
             (name, n)
             for name, ident in IDENTITIES.items()
             for n in SIZES[ident.kind]
-            # a pair needs two qubits before the qubit count is checked
-            if not ident.applies(n) and (name != "eq20" or n >= 2)
+            if not ident.applies(n)
         ],
     )
     def test_inapplicable_qubit_count(self, name, n):
@@ -366,15 +367,61 @@ class TestRegistryRows:
         with pytest.raises(ValueError, match="^eq1b is a pure-state identity$"):
             check("eq1b", mq.random_mixed(2, 1, 0))
 
+    # a bad case raises the same ValueError through check as through the public
+    # checker, never an IndexError or a report
     @pytest.mark.parametrize("k", [0, -1, 5])
     def test_bad_qubit(self, k, w4):
-        with pytest.raises(ValueError, match=rf"qubit {k} outside 1\.\.4"):
-            mq.residual_single_partition(w4, k)
+        for call in (lambda: check("eq14", w4, k=k), lambda: mq.residual_single_partition(w4, k)):
+            with pytest.raises(ValueError, match=rf"^qubit {k} outside 1\.\.4$"):
+                call()
 
     @pytest.mark.parametrize("pair", [(1, 1), (0, 2), (3, 5), (1, 2, 3), ()])
     def test_bad_pair(self, pair, w4):
-        with pytest.raises(ValueError, match="bad pair"):
-            mq.residual_pair_partition(w4, pair)
+        errors = []
+        calls = (lambda: check("eq20", w4, pair=pair), lambda: mq.residual_pair_partition(w4, pair))
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^bad pair \(.*\) for n=4$") as err:
+                call()
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+
+    def test_unsorted_pair_is_sorted(self, w4):
+        rep = check("eq20", w4, pair=(3, 1))
+        assert rep.context["pair"] == [1, 3]
+        assert rep == mq.residual_pair_partition(w4, (3, 1)) == check("eq20", w4, pair=[1, 3])
+
+    def test_public_checkers_do_not_call_check(self, monkeypatch):
+        # a report reached through two public calls would be counted twice
+        def forbidden(*args, **kwargs):
+            raise AssertionError("public checker called identities.check")
+
+        monkeypatch.setattr(identities, "check", forbidden)
+        for name, ident in IDENTITIES.items():
+            n = next(n for n in SIZES[ident.kind] if ident.applies(n))
+            state = _state(ident.kind, n, 3)
+            for case in ident.cases(n):
+                assert isinstance(PUBLIC[name](state, 1e-9, **case), mq.IdentityReport)
+
+
+class TestReadme:
+    """README's identity table and report labels follow the registry."""
+
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def test_identity_table_rows(self):
+        rows = [
+            [cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+            for line in self.README.read_text().splitlines()
+            if re.match(r"^\| `eq\w+` \|", line)
+        ]
+        assert [row[0] for row in rows] == [f"`{name}`" for name in IDENTITIES]
+        assert [row[2] for row in rows] == [ident.kind for ident in IDENTITIES.values()]
+
+    def test_report_labels(self):
+        text = self.README.read_text()
+        start = text.index("print the relation names of the reports")
+        labels = re.findall(r"`([\w-]+)`", text[start : text.index(").", start)])
+        assert labels == [ident.label for ident in IDENTITIES.values()]
 
 
 class TestFuzzDriver:
