@@ -9,7 +9,10 @@ Subcommands:
 Which identities run for a qubit count comes from the registry in
 ``identities``.  report and ``mixed-check --rho`` build their reports in one
 loop of ``identities.check`` calls; fuzz and ``mixed-check --random`` share
-one fuzz call, one witness step and one summary format.
+one fuzz call, one witness step and one summary format.  report's output is
+byte-stable: its json is what ``json.dumps(obj, sort_keys=True)`` writes, and a
+table value's "(= p/q)" hint is ``Fraction(v).limit_denominator(512)`` when
+that lies within 1e-9 of v.  Its I_S rows fill templates cached per n.
 
 Exit codes: 0 all checks pass, 1 a tolerance failure, 2 input/usage error
 (a --tol that is negative, infinite or NaN included).
@@ -20,13 +23,13 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from functools import cache
 
 import numpy as np
 
 from .identities import EQ_TOL, IDENTITIES, PURE_IDENTITIES, _check_tol, applicable, check, fuzz
 from .measures import (
+    _io_order,
     _subset_to_mask,
     all_infos_enumerated,
     all_infos_fast,
@@ -100,13 +103,17 @@ def _reports(kind, state, table, tol):
     ]
 
 
-def _frac_hint(x):
-    if abs(x) > 64:
-        return ""
-    fr = Fraction(x).limit_denominator(512)
-    if abs(float(fr) - x) <= 1e-9:
-        return f"  (= {fr})"
-    return ""
+def _frac_hints(x):
+    """"  (= p/q)" for each value v of x within 1e-9 of a fraction with q <= 512
+    and |v| <= 64, else "".  Such fractions lie over 2e-9 apart, so the one
+    found, at the smallest q, is ``Fraction(v).limit_denominator(512)``."""
+    den = np.zeros(len(x), dtype=np.int64)
+    for q in range(512, 0, -1):  # the last hit is the smallest q
+        den[np.abs(np.rint(x * q) / q - x) <= 1e-9] = q
+    den[np.abs(x) > 64] = 0
+    num = np.rint(x * den).astype(np.int64).tolist()
+    pairs = zip(num, den.tolist())
+    return [f"  (= {p}/{q})" if q > 1 else f"  (= {p})" if q else "" for p, q in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -131,58 +138,75 @@ def _build_report(psi, tol):
     return table, taus_single, taus_pair, extras, reports
 
 
-def _emit_report(psi, table, taus_single, taus_pair, extras, reports, fmt, out):
+@cache
+def _entry_template(n, fmt):
+    """The I_S entries of an n-qubit report in ``fmt``, in ``_io_order``, as
+    one %-template that takes each value's repr (and in a table, its hint)."""
+    subsets, _ = _io_order(n)
+    names = [str(q) for q in range(n + 1)]
+    labels = ["-".join(map(names.__getitem__, s)) for s in subsets]
+    if fmt == "json":  # what json.dumps(table.to_json_obj(), sort_keys=True) writes
+        entries = ", ".join(['{"I": %r, "subset": [' + s.replace("-", ", ") + "]}" for s in labels])
+        return f'{{"entries": [{entries}], "n": {n}}}'
+    if fmt == "csv":
+        return "".join(f"{label},{len(s)},%r\n" for label, s in zip(labels, subsets))
+    return "".join(f"  I_{label:<12} % .12g%s\n" for label in labels)
+
+
+def _report_text(table, taus_single, taus_pair, extras, reports, fmt):
+    """The whole report in ``fmt``; a non-finite I_S raises ValueError."""
+    n = table.num_qubits
+    values = table.values[_io_order(n)[1]]
+    if not np.isfinite(values).all():
+        raise ValueError("information table holds a non-finite value")
+    template = _entry_template(n, fmt)
+    if fmt == "csv":
+        return "subset,size,I\n" + template % tuple(values.tolist())
+    local, nonlocal_ = table.local_total(), table.nonlocal_total()
     if fmt == "json":
-        obj = {
-            "n": psi.num_qubits,
-            "info_table": table.to_json_obj(),
-            "I_local": table.local_total(),
-            "I_nonlocal": table.nonlocal_total(),
+        parts = {
+            "n": n,
+            "I_local": local,
+            "I_nonlocal": nonlocal_,
             "tau_single": {str(k): v for k, v in taus_single.items()},
             "tau_pair": {"-".join(map(str, p)): v for p, v in taus_pair.items()},
             **extras,
             "identities": [r.to_json_obj() for r in reports],
         }
-        out.write(json.dumps(obj, sort_keys=True) + "\n")
-    elif fmt == "csv":
-        out.write("subset,size,I\n")
-        for subset, size, val in table.to_csv_rows():
-            out.write(f"{subset},{size},{val!r}\n")
-    else:
-        n = psi.num_qubits
-        out.write(f"state on {n} qubit(s)\n\ninformation values\n")
-        for subset, size, val in table.to_csv_rows():
-            out.write(f"  I_{subset:<12} {val: .12g}{_frac_hint(val)}\n")
-        out.write(f"\n  I_local    {table.local_total(): .12g}{_frac_hint(table.local_total())}\n")
-        out.write(f"  I_nonlocal {table.nonlocal_total(): .12g}{_frac_hint(table.nonlocal_total())}\n")
-        if taus_single:
-            out.write("\nlinear entropies (one vs rest)\n")
-            for k, v in taus_single.items():
-                out.write(f"  tau_{k}(rest)   {v: .12g}{_frac_hint(v)}\n")
-        if taus_pair:
-            out.write("\nlinear entropies (pair vs rest)\n")
-            for p, v in taus_pair.items():
-                out.write(f"  tau_{p[0]}{p[1]}(rest)  {v: .12g}{_frac_hint(v)}\n")
-        for key, val in extras.items():
-            out.write(f"\n{key} = {val:.12g}{_frac_hint(val)}\n")
-        out.write("\nidentity checks\n")
-        for r in reports:
-            status = "pass" if r.passed else "FAIL"
-            ctx = {k: v for k, v in r.context.items() if k != "n"}
-            out.write(
-                f"  [{status}] {r.identity:<22} residual {r.residual: .3e}  {ctx}\n"
-            )
+        fields = {key: json.dumps(val, sort_keys=True) for key, val in parts.items()}
+        fields["info_table"] = template % tuple(values.tolist())
+        return "{" + ", ".join(f'"{key}": {fields[key]}' for key in sorted(fields)) + "}\n"
+    scalars = [local, nonlocal_, *taus_single.values(), *taus_pair.values(), *extras.values()]
+    hints = _frac_hints(np.concatenate((values, scalars)))
+    hint = iter(hints[len(values):])  # the scalars' hints, in the order they print
+    lines = [f"state on {n} qubit(s)\n\ninformation values\n"]
+    lines.append(template % tuple(x for pair in zip(values.tolist(), hints) for x in pair))
+    lines.append(f"\n  I_local    {local: .12g}{next(hint)}\n")
+    lines.append(f"  I_nonlocal {nonlocal_: .12g}{next(hint)}\n")
+    if taus_single:
+        lines.append("\nlinear entropies (one vs rest)\n")
+        lines += [f"  tau_{k}(rest)   {v: .12g}{next(hint)}\n" for k, v in taus_single.items()]
+    if taus_pair:
+        lines.append("\nlinear entropies (pair vs rest)\n")
+        lines += [f"  tau_{p[0]}{p[1]}(rest)  {v: .12g}{next(hint)}\n" for p, v in taus_pair.items()]
+    lines += [f"\n{key} = {val:.12g}{next(hint)}\n" for key, val in extras.items()]
+    lines.append("\nidentity checks\n")
+    for r in reports:
+        status = "pass" if r.passed else "FAIL"
+        ctx = {k: v for k, v in r.context.items() if k != "n"}
+        lines.append(f"  [{status}] {r.identity:<22} residual {r.residual: .3e}  {ctx}\n")
+    return "".join(lines)
 
 
 def cmd_report(args):
     psi = _resolve_pure(args.state)
     table, taus_single, taus_pair, extras, reports = _build_report(psi, args.tol)
-    dest = open(args.out, "w") if args.out else sys.stdout
-    try:
-        _emit_report(psi, table, taus_single, taus_pair, extras, reports, args.format, dest)
-    finally:
-        if args.out:
-            dest.close()
+    text = _report_text(table, taus_single, taus_pair, extras, reports, args.format)
+    if args.out:
+        with open(args.out, "w") as dest:
+            dest.write(text)
+    else:
+        sys.stdout.write(text)
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -4,14 +4,14 @@ seeded random generation, and the JSON wire format.
 Index convention: qubit 1 is the most significant bit of the basis index,
 so |q1 q2 ... qn> maps to the integer q1*2^(n-1) + ... + qn.
 
-Random states draw what ``np.random.default_rng(seed)`` draws.  A list of
-non-negative integer seeds is seeded in one batch: numpy's own ``SeedSequence``
-hashing (entropy pool and ``generate_state``) runs as uint32 array steps over
-every seed at once, and PCG64's 128-bit seeding (inc = 2 initseq + 1, state =
-(inc + initstate) M + inc) puts one PCG64 per call into each seed's state.
-Any other seed, and every seed when a one-time check finds that the batch
-route differs from ``default_rng`` (a numpy whose seeding changed), goes to
-``default_rng`` itself.
+Random states draw what ``np.random.default_rng(seed)`` draws.  A list of two
+or more non-negative integer seeds is seeded in one batch: numpy's own
+``SeedSequence`` hashing (entropy pool and ``generate_state``) runs as uint32
+array steps over every seed at once, and PCG64's 128-bit seeding (inc = 2
+initseq + 1, state = (inc + initstate) M + inc) puts one PCG64 per call into
+each seed's state.  A lone seed, any other seed, and every seed when a
+one-time check finds that the batch route differs from ``default_rng`` (a
+numpy whose seeding changed), go to ``default_rng`` itself.
 """
 
 from dataclasses import dataclass, field
@@ -277,7 +277,8 @@ def _seeded_generators(seeds):
     """For each seed in turn, a Generator that draws what
     ``np.random.default_rng(seed)`` draws; draw from it before taking the next."""
     seeds = list(seeds)
-    if all(isinstance(s, (int, np.integer)) and s >= 0 for s in seeds) and _batch_seeding_matches():
+    batch = len(seeds) > 1 and all(isinstance(s, (int, np.integer)) and s >= 0 for s in seeds)
+    if batch and _batch_seeding_matches():
         yield from _pcg_generators([int(s) for s in seeds])
     else:  # numpy's own route, and numpy's own errors for a bad seed
         for seed in seeds:

@@ -1,6 +1,12 @@
+import io
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +14,7 @@ import pytest
 import mqinfo as mq
 from mqinfo import cli
 from mqinfo.cli import build_parser, main
-from mqinfo.identities import IDENTITIES, MIXED_IDENTITIES, PURE_IDENTITIES, applicable
+from mqinfo.identities import EQ_TOL, IDENTITIES, MIXED_IDENTITIES, PURE_IDENTITIES, applicable
 
 
 class TestReport:
@@ -112,6 +118,156 @@ class TestReport:
             ["report", "--state", "ghz:2", "--format", "json", "--out", str(dest)]
         ) == 0
         assert json.loads(dest.read_text())["n"] == 2
+
+
+# ---------------------------------------------------------------------------
+# report's writers against per-entry reference writers
+# ---------------------------------------------------------------------------
+
+def _reference_hint(x):
+    if abs(x) > 64:
+        return ""
+    fr = Fraction(x).limit_denominator(512)
+    if abs(float(fr) - x) <= 1e-9:
+        return f"  (= {fr})"
+    return ""
+
+
+def _reference_report(psi, fmt):
+    """report's output written entry by entry: json.dumps of the whole object,
+    one csv row per InfoTable row, one Fraction hint per table value."""
+    table, taus_single, taus_pair, extras, reports = cli._build_report(psi, EQ_TOL)
+    out = io.StringIO()
+    if fmt == "json":
+        obj = {
+            "n": psi.num_qubits,
+            "info_table": table.to_json_obj(),
+            "I_local": table.local_total(),
+            "I_nonlocal": table.nonlocal_total(),
+            "tau_single": {str(k): v for k, v in taus_single.items()},
+            "tau_pair": {"-".join(map(str, p)): v for p, v in taus_pair.items()},
+            **extras,
+            "identities": [r.to_json_obj() for r in reports],
+        }
+        out.write(json.dumps(obj, sort_keys=True) + "\n")
+    elif fmt == "csv":
+        out.write("subset,size,I\n")
+        for subset, size, val in table.to_csv_rows():
+            out.write(f"{subset},{size},{val!r}\n")
+    else:
+        hint = _reference_hint
+        out.write(f"state on {psi.num_qubits} qubit(s)\n\ninformation values\n")
+        for subset, size, val in table.to_csv_rows():
+            out.write(f"  I_{subset:<12} {val: .12g}{hint(val)}\n")
+        out.write(f"\n  I_local    {table.local_total(): .12g}{hint(table.local_total())}\n")
+        out.write(f"  I_nonlocal {table.nonlocal_total(): .12g}{hint(table.nonlocal_total())}\n")
+        if taus_single:
+            out.write("\nlinear entropies (one vs rest)\n")
+            for k, v in taus_single.items():
+                out.write(f"  tau_{k}(rest)   {v: .12g}{hint(v)}\n")
+        if taus_pair:
+            out.write("\nlinear entropies (pair vs rest)\n")
+            for p, v in taus_pair.items():
+                out.write(f"  tau_{p[0]}{p[1]}(rest)  {v: .12g}{hint(v)}\n")
+        for key, val in extras.items():
+            out.write(f"\n{key} = {val:.12g}{hint(val)}\n")
+        out.write("\nidentity checks\n")
+        for r in reports:
+            status = "pass" if r.passed else "FAIL"
+            ctx = {k: v for k, v in r.context.items() if k != "n"}
+            out.write(f"  [{status}] {r.identity:<22} residual {r.residual: .3e}  {ctx}\n")
+    return out.getvalue()
+
+
+NAMED_SPECS = (
+    [f"ghz:{n}" for n in range(2, 13)]
+    + [f"w:{n}" for n in range(2, 13)]
+    + [f"basis-product:{n}" for n in range(1, 13)]
+    + ["bell-phi-plus:2"]
+)
+
+# around 0, +-64, 2/3 and 1/512, on both sides of the 1e-9 and |x| <= 64 tests
+HINT_EDGES = [
+    0.0, -0.0, 1e-9, -1e-9, 2e-9, 5e-324, 1e-300, 0.1, 0.5, -7 / 9, 1 / 3 + 9.9e-10,
+    64.0, -64.0, 64 + 1e-12, -64 - 1e-12, 64 - 1e-12, 63.99999999, 65.0, 100.5,
+    2 / 3, 2 / 3 + 1e-9, 2 / 3 - 1e-9, 2 / 3 + 2e-9, 2 / 3 - 2e-9,
+    2 / 3 + 1.02e-9, 2 / 3 - 0.98e-9,
+    1 / 512, 1 / 512 + 1e-9, 1 / 512 - 1e-9, 1 / 511, 511 / 512, 256 / 511 + 5e-10,
+]
+
+
+class TestReportWriters:
+    def _check(self, spec, psi, tmp_path, capsys):
+        for fmt in ("table", "json", "csv"):
+            want = _reference_report(psi, fmt)
+            code = 0 if "FAIL" not in want else 1
+            assert main(["report", "--state", spec, "--format", fmt]) == code
+            assert capsys.readouterr().out == want
+            dest = tmp_path / f"report.{fmt}"
+            assert main(["report", "--state", spec, "--format", fmt, "--out", str(dest)]) == code
+            assert dest.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("spec", NAMED_SPECS)
+    def test_named_families(self, spec, tmp_path, capsys):
+        family, _, n = spec.partition(":")
+        self._check(spec, mq.make_named(family, int(n)), tmp_path, capsys)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_haar_random_files(self, n, tmp_path, capsys):
+        path = tmp_path / "psi.json"
+        mq.save_state(mq.random_pure(n, 1000 + n), path)
+        self._check(f"file:{path}", mq.load_state(path), tmp_path, capsys)
+
+    @pytest.mark.parametrize("x", HINT_EDGES)
+    def test_hint_edges(self, x):
+        assert cli._frac_hints(np.array([x])) == [_reference_hint(x)]
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_non_finite_value_exits_2(self, fmt, tmp_path, monkeypatch, capsys):
+        # PureState keeps non-finite amplitudes out; a table holding one anyway
+        # must not be written as nan
+        def table_with_nan(psi):
+            good = mq.all_infos_fast(psi)
+            values = good.values.copy()
+            values[3] = np.nan
+            return mq.InfoTable(2, values, good.purities)
+
+        monkeypatch.setattr(cli, "all_infos_fast", table_with_nan)
+        dest = tmp_path / "report.out"
+        argv = ["report", "--state", "ghz:2", "--format", fmt, "--out", str(dest)]
+        assert main(argv) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not dest.exists()
+
+
+class TestTooling:
+    SRC = Path(mq.__file__).resolve().parent.parent
+
+    def _run(self, *argv):
+        env = dict(os.environ, PYTHONPATH=str(self.SRC))
+        return subprocess.run(
+            [sys.executable, "-m", "mqinfo.cli", *argv], env=env, capture_output=True, text=True
+        )
+
+    def test_module_entry_point_writes_what_main_writes(self, capsys):
+        done = self._run("report", "--state", "ghz:3", "--format", "json")
+        assert done.returncode == 0 and done.stderr == ""
+        assert main(["report", "--state", "ghz:3", "--format", "json"]) == 0
+        assert done.stdout == capsys.readouterr().out
+
+    def test_module_entry_point_bad_spec_exits_2(self):
+        done = self._run("report", "--state", "ghz:x")
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
+
+    def test_version_matches_pyproject(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = self.SRC.parent / "pyproject.toml"
+        if not pyproject.exists():
+            pytest.skip("not a source checkout")
+        with open(pyproject, "rb") as fh:
+            assert mq.__version__ == tomllib.load(fh)["project"]["version"]
 
 
 class TestFuzz:

@@ -232,7 +232,16 @@ class TestBatchSeeding:
 
         monkeypatch.setattr(np.random, "default_rng", forbidden)
         statekit.random_pure_stack(3, [0, 2**32, 2**200])
-        mq.random_mixed(2, 2, 7)
+        statekit.random_mixed_states(2, [2, 1], [7, 8])
+
+    @pytest.mark.parametrize("seed", SEED_WORDS)
+    def test_one_seed_takes_default_rng(self, seed, monkeypatch):
+        def forbidden(seeds):
+            raise AssertionError("batch route used for a single seed")
+
+        monkeypatch.setattr(statekit, "_pcg_generators", forbidden)
+        assert np.array_equal(mq.random_pure(5, seed).amplitudes, _reference_pure(5, seed))
+        assert np.array_equal(mq.random_mixed(2, 3, seed).matrix, _reference_mixed(2, 3, seed))
 
 
 class TestDensityOf:
