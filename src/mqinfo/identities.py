@@ -11,10 +11,12 @@ and evaluates it.  ``check`` and each ``residual_*`` checker are one
 ``_check`` call, so each report is one public call, as mqbench's span
 tracer counts one check per report a public function returns.  ``fuzz``
 draws one seeded random state per trial, in chunks, one chunk path for both
-kinds: a chunk's tables come from one ``info_values`` (pure) or
-``spectrum_values`` (mixed) call, and ``_evaluate`` checks the whole chunk
-at once.  Checkers are pure functions and reject a negative, infinite or NaN
-tolerance, a ``k`` outside 1..n and a bad ``pair``.
+kinds: a chunk is an array, an amplitude stack (pure) or a matrix stack
+(mixed), its tables come from one ``info_values`` or ``spectrum_values``
+call, and ``_evaluate`` checks the whole chunk at once; only a summary's
+worst state is wrapped as a PureState or MixedState.  Checkers are pure
+functions and reject a negative, infinite or NaN tolerance, a ``k`` outside
+1..n and a bad ``pair``.
 
 Conventions resolved here (fixed by the explicit small-n instances):
   * the one-vs-rest sum runs over all subsets containing qubit k with
@@ -44,9 +46,10 @@ from .reduction import _BATCH_AMPLITUDES, pure_subset_purities
 from .statekit import (
     MAX_MIXED_QUBITS,
     MAX_QUBITS,
+    MixedState,
     PureState,
     _check_qubit_count,
-    random_mixed_states,
+    random_mixed_stack,
     random_pure_stack,
 )
 
@@ -416,15 +419,15 @@ def derive_seed(base_seed, trial):
 def _chunk(idents, n, seeds, tol, ranks):
     """The states of one chunk of trials, and per identity its ``_evaluate`` arrays.
 
-    The states are pure (``ranks`` None), drawn as one amplitude stack, or
-    density matrices of the given ranks.
+    The states are one array: an amplitude stack (``ranks`` None) or a
+    stack of density matrices of the given ranks.
     """
     if ranks is None:
         states = random_pure_stack(n, seeds)
         arrays = (*info_values(states), states)
     else:
-        states = random_mixed_states(n, ranks, seeds)
-        arrays = spectrum_values(np.array([rho.matrix for rho in states]))
+        states = random_mixed_stack(n, ranks, seeds)
+        arrays = spectrum_values(states)
     return states, [_evaluate(ident, arrays, ident.cases(n), tol) for ident in idents]
 
 
@@ -439,9 +442,10 @@ def fuzz(names, n, trials, base_seed, tol=EQ_TOL, rank=None):
     holding at most ``_BATCH_AMPLITUDES`` amplitudes (matrix entries for a
     density matrix): one ``info_values`` or ``spectrum_values`` call gives
     every table of a chunk, and each identity's array function checks the
-    whole chunk at once.  The states are those of ``random_pure``/
-    ``random_mixed`` bit for bit, and only a summary's worst state is built
-    as a PureState.
+    whole chunk at once.  A chunk's states are one array, an amplitude or
+    matrix stack, the states of ``random_pure``/``random_mixed`` bit for
+    bit, and only a summary's worst state is built as a PureState or
+    MixedState.
 
     Each summary holds the largest violation ``max_residual`` (|residual|
     for an equality, max(0, lhs - rhs) for an inequality), the failure
@@ -487,7 +491,6 @@ def fuzz(names, n, trials, base_seed, tol=EQ_TOL, rank=None):
                 low = float(margin.min())
                 s["min_margin"] = low if s["min_margin"] is None else min(s["min_margin"], low)
     for s in summaries:
-        if pure:
-            s["worst_state"] = PureState(n, s["worst_state"])
+        s["worst_state"] = (PureState if pure else MixedState)(n, s["worst_state"])
         s["passed"] = s["failures"] == 0
     return summaries

@@ -79,10 +79,17 @@ def _support_masks(n):
 
 @cache
 def _io_order(n):
-    """Non-empty subsets in ascending (size, indices) order: (tuples, masks)."""
+    """Non-empty subsets in ascending (size, indices) order: (tuples, masks).
+
+    Among subsets of one size, ascending index tuples are descending masks
+    read with qubit 1 as the most significant bit, so the masks come from
+    one sort on (size, that reversed mask).
+    """
     qubits = range(1, n + 1)
     subsets = tuple(s for k in qubits for s in combinations(qubits, k))
-    return subsets, _readonly(np.array([_subset_to_mask(s) for s in subsets]))
+    masks = np.arange(1, 1 << n)
+    msb_first = sum(((masks >> (q - 1)) & 1) << (n - q) for q in qubits)
+    return subsets, _readonly(masks[np.lexsort((-msb_first, np.bitwise_count(masks)))])
 
 
 @dataclass(eq=False)

@@ -1,6 +1,13 @@
 """Pure states and density matrices: construction, validation, named families,
 seeded random generation, and the JSON wire format.
 
+A density matrix is validated by ``_check_density``, one validator for a
+single MixedState and for a drawn (B, d, d) stack: finite entries,
+Hermiticity and trace are one array reduction each, and the PSD test is one
+stacked Cholesky factorisation of H + PSD_TOL I.  Only when that fails does
+``eigvalsh`` run, and it judges, so no matrix whose smallest eigenvalue is
+at least -PSD_TOL is rejected.
+
 Index convention: qubit 1 is the most significant bit of the basis index,
 so |q1 q2 ... qn> maps to the integer q1*2^(n-1) + ... + qn.
 
@@ -65,12 +72,41 @@ class PureState:
         return 2**self.num_qubits
 
 
+def _check_density(mats):
+    """The Hermitian parts (M + M^dagger)/2 of a (B, d, d) stack of density
+    matrices; ValueError unless every matrix is one.
+
+    H + PSD_TOL I factorises when H's smallest eigenvalue is above -PSD_TOL,
+    up to rounding; ``eigvalsh`` judges the stack only when it does not.
+    """
+    if not np.isfinite(mats).all():
+        raise ValueError("matrix entries must be finite (no NaN or inf)")
+    adjoint = mats.conj().swapaxes(-1, -2)
+    if np.max(np.abs(mats - adjoint), initial=0.0) > HERM_TOL:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    trace = np.trace(mats, axis1=-2, axis2=-1)
+    trace_err = np.maximum(np.abs(trace.real - 1.0), np.abs(trace.imag))
+    if np.max(trace_err, initial=0.0) > TRACE_TOL:
+        raise ValueError("matrix trace is not 1 within tolerance")
+    herm = 0.5 * (mats + adjoint)
+    try:
+        np.linalg.cholesky(herm + PSD_TOL * np.eye(mats.shape[-1]))
+    except np.linalg.LinAlgError:
+        for low in np.linalg.eigvalsh(herm)[:, 0]:
+            if low < -PSD_TOL:
+                raise ValueError(f"matrix not PSD: min eigenvalue {low:.3e}") from None
+    return herm
+
+
 @dataclass(frozen=True)
 class MixedState:
     """Hermitian, PSD, trace-1 density matrix over ``num_qubits`` qubits.
 
     The Hermitian part (M + M^dagger)/2 is stored: sums of up to 2^m
     entries (the Pauli spectrum) would add up what HERM_TOL lets through.
+    ``_check_density`` validates it; its PSD test is a Cholesky
+    factorisation of rho + PSD_TOL I, with ``eigvalsh`` as the judge when
+    the factorisation fails.
     """
 
     num_qubits: int
@@ -83,16 +119,7 @@ class MixedState:
         dim = 2**m
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got {mat.shape}")
-        if not np.isfinite(mat).all():
-            raise ValueError("matrix entries must be finite (no NaN or inf)")
-        if np.max(np.abs(mat - mat.conj().T)) > HERM_TOL:
-            raise ValueError("matrix is not Hermitian within tolerance")
-        if abs(np.trace(mat).real - 1.0) > TRACE_TOL or abs(np.trace(mat).imag) > TRACE_TOL:
-            raise ValueError("matrix trace is not 1 within tolerance")
-        mat = 0.5 * (mat + mat.conj().T)
-        evals = np.linalg.eigvalsh(mat)
-        if evals[0] < -PSD_TOL:
-            raise ValueError(f"matrix not PSD: min eigenvalue {evals[0]:.3e}")
+        mat = _check_density(mat[None])[0]
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
@@ -308,11 +335,19 @@ def random_pure_stack(n, seeds):
 def random_mixed(m, rank, seed):
     """Random density matrix of exact rank: partial trace of a Haar-random
     purification over an environment of dimension ``rank``."""
-    return random_mixed_states(m, [rank], [seed])[0]
+    return MixedState(m, random_mixed_stack(m, [rank], [seed])[0])
 
 
 def random_mixed_states(m, ranks, seeds):
     """``random_mixed(m, rank, seed)`` for each rank and seed, seeded together."""
+    return [MixedState(m, mat) for mat in random_mixed_stack(m, ranks, seeds)]
+
+
+def random_mixed_stack(m, ranks, seeds):
+    """Matrices of ``random_mixed(m, rank, seed)`` for each rank and seed, as a
+    (len(seeds), 2^m, 2^m) stack, checked like a MixedState but not wrapped
+    in one.  Each state has its own generator and its own block @ block^H;
+    the stack is validated once."""
     _check_qubit_count(m, MAX_MIXED_QUBITS)
     if len(ranks) != len(seeds):
         raise ValueError(f"{len(ranks)} ranks for {len(seeds)} seeds")
@@ -320,14 +355,14 @@ def random_mixed_states(m, ranks, seeds):
     for rank in ranks:
         if not (1 <= rank <= dim):
             raise ValueError(f"rank {rank} outside [1, {dim}]")
-    states = []
-    for rank, rng in zip(ranks, _seeded_generators(seeds)):
+    stack = np.empty((len(seeds), dim, dim), dtype=np.complex128)
+    for out, rank, rng in zip(stack, ranks, _seeded_generators(seeds)):
         draws = rng.standard_normal((2, dim * rank))
         v = draws[0] + 1j * draws[1]
         v /= np.linalg.norm(v)
         block = v.reshape(dim, rank)
-        states.append(MixedState(m, block @ block.conj().T))
-    return states
+        np.matmul(block, block.conj().T, out=out)
+    return _check_density(stack)
 
 
 def density_of(psi):

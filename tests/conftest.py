@@ -46,3 +46,15 @@ def ghz4():
 @pytest.fixture
 def w4():
     return mq.make_named("w", 4)
+
+
+def density_with_min_eigenvalue(m, low, seed=0):
+    """Hermitian trace-1 matrix on m qubits, smallest eigenvalue ``low`` and
+    the others equal, in a random eigenbasis."""
+    d = 2**m
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    evals = np.full(d, (1.0 - low) / (d - 1))
+    evals[0] = low
+    mat = (u * evals) @ u.conj().T
+    return 0.5 * (mat + mat.conj().T)

@@ -15,6 +15,9 @@ import mqinfo as mq
 from mqinfo import cli
 from mqinfo.cli import build_parser, main
 from mqinfo.identities import EQ_TOL, IDENTITIES, MIXED_IDENTITIES, PURE_IDENTITIES, applicable
+from mqinfo.statekit import PSD_TOL
+
+from conftest import density_with_min_eigenvalue
 
 
 class TestReport:
@@ -260,6 +263,32 @@ class TestTooling:
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize(
+        "how, message",
+        [
+            ("inside-psd-gate", None),
+            ("not-psd", "matrix not PSD: min eigenvalue -2.000e-10"),
+            ("not-hermitian", "matrix is not Hermitian within tolerance"),
+            ("trace-off", "matrix trace is not 1 within tolerance"),
+        ],
+    )
+    def test_module_entry_point_rho_file_checks(self, how, message, tmp_path):
+        mat = density_with_min_eigenvalue(3, -2 * PSD_TOL if how == "not-psd" else -0.5 * PSD_TOL, 1)
+        if how == "not-hermitian":
+            mat[0, 1] += 1e-3
+        elif how == "trace-off":
+            mat *= 1.01
+        path = tmp_path / "rho.json"
+        pairs = np.stack([mat.real, mat.imag], axis=-1).tolist()
+        path.write_text(json.dumps({"kind": "mixed", "m": 3, "matrix": pairs}))
+        done = self._run("mixed-check", "--rho", f"file:{path}")
+        if message is None:
+            assert done.returncode == 0 and done.stderr == ""
+            assert done.stdout.count("[pass]") == 2
+        else:
+            assert done.returncode == 2 and done.stdout == ""
+            assert done.stderr == f"error: {message}\n"
 
     def test_version_matches_pyproject(self):
         tomllib = pytest.importorskip("tomllib")

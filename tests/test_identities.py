@@ -654,6 +654,18 @@ class TestMixedEngine:
         [pair, total] = mq.fuzz(["eq24", "eq23"], 2, 40, 3, tol=1e-30)
         assert pair["failures"] > 0 and pair["tolerance"] == 1e-30
 
+    def test_failing_worst_state_is_a_density_matrix_that_reloads(self, tmp_path):
+        summaries = mq.fuzz(["eq25", "eq23"], 3, 20, 4, tol=1e-30)
+        assert not summaries[0]["passed"]
+        for s in summaries:
+            rho = s["worst_state"]
+            assert isinstance(rho, mq.MixedState) and not rho.matrix.flags.writeable
+            worst = mq.random_mixed(3, (s["worst_seed"] - 4 * MAX_TRIALS) % 8 + 1, s["worst_seed"])
+            assert rho.matrix.tobytes() == worst.matrix.tobytes()
+            path = tmp_path / f"{s['identity']}.json"
+            mq.save_state(rho, path)
+            assert mq.load_state(path).matrix.tobytes() == rho.matrix.tobytes()
+
 
 class TestBatchedEngine:
     @pytest.mark.parametrize("n", range(1, 11))

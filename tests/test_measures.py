@@ -342,6 +342,14 @@ class TestInfoTableExport:
         assert [e["I"] for e in obj["entries"]] == [table.get(s) for s in want]
         assert [row[0] for row in table.to_csv_rows()] == ["-".join(map(str, s)) for s in want]
 
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_io_order_masks_match_the_tuples(self, n):
+        subsets, masks = measures._io_order(n)
+        qubits = range(1, n + 1)
+        assert subsets == tuple(s for k in qubits for s in combinations(qubits, k))
+        assert masks.tolist() == [measures._subset_to_mask(s) for s in subsets]
+        assert not masks.flags.writeable
+
     def test_entries_read_only(self, ghz3):
         table = mq.all_infos_fast(ghz3)
         with pytest.raises(TypeError):

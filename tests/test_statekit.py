@@ -4,7 +4,9 @@ import pytest
 import mqinfo as mq
 from mqinfo import statekit
 from mqinfo.identities import MAX_TRIALS
-from mqinfo.statekit import MixedState, PureState
+from mqinfo.statekit import PSD_TOL, MixedState, PureState, _check_density
+
+from conftest import density_with_min_eigenvalue
 
 
 class TestPureFromAmplitudes:
@@ -126,6 +128,18 @@ class TestRandomMixed:
         stack = statekit.random_pure_stack(3, [])
         assert stack.shape == (0, 8) and stack.dtype == np.complex128
         assert statekit.random_mixed_states(2, [], []) == []
+        stack = statekit.random_mixed_stack(2, [], [])
+        assert stack.shape == (0, 4, 4) and stack.dtype == np.complex128
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_stack_rows_are_random_mixed(self, m):
+        ranks = list(range(1, 2**m + 1))
+        seeds = [100 * m + rank for rank in ranks]
+        stack = statekit.random_mixed_stack(m, ranks, seeds)
+        assert stack.shape == (2**m, 2**m, 2**m)
+        for rank, seed, mat in zip(ranks, seeds, stack):
+            assert mat.tobytes() == mq.random_mixed(m, rank, seed).matrix.tobytes()
+            assert mat.tobytes() == _reference_mixed(m, rank, seed).tobytes()
 
 
 # seeds of 1, 1, 2, 3, 4, 5 and 7 32-bit entropy words
@@ -308,6 +322,80 @@ class TestValidation:
         mat[0, 0] = bad
         with pytest.raises(ValueError, match="finite"):
             MixedState(1, mat)
+
+
+_MESSAGES = {
+    "finite": "matrix entries must be finite (no NaN or inf)",
+    "hermitian": "matrix is not Hermitian within tolerance",
+    "trace": "matrix trace is not 1 within tolerance",
+}
+
+
+def _spoiled(m, how):
+    """A maximally mixed matrix made to fail one check."""
+    mat = np.eye(2**m, dtype=complex) / 2**m
+    if how == "finite":
+        mat[0, 0] = np.nan
+    elif how == "hermitian":
+        mat[0, 1] = 1e-3
+    else:
+        mat *= 1.01
+    return mat
+
+
+class TestStackedValidation:
+    """``_check_density``: one Cholesky PSD test per stack, ``eigvalsh`` as the judge."""
+
+    @pytest.mark.parametrize("m", [1, 3, 5, 7])
+    def test_just_inside_the_psd_gate_passes_without_eigvalsh(self, m, monkeypatch):
+        mat = density_with_min_eigenvalue(m, -0.5 * PSD_TOL, m)
+        assert np.linalg.eigvalsh(mat)[0] < 0
+
+        def forbidden(a, UPLO="L"):
+            raise AssertionError("eigvalsh ran although the factorisation succeeded")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        assert np.array_equal(MixedState(m, mat).matrix, mat)
+        assert np.array_equal(_check_density(mat[None])[0], mat)
+
+    @pytest.mark.parametrize("m", [1, 3, 5, 7])
+    def test_outside_the_psd_gate_keeps_the_eigvalsh_message(self, m):
+        mat = density_with_min_eigenvalue(m, -2 * PSD_TOL, m)
+        for check in (lambda: MixedState(m, mat), lambda: _check_density(mat[None])):
+            with pytest.raises(ValueError) as exc:
+                check()
+            assert str(exc.value) == "matrix not PSD: min eigenvalue -2.000e-10"
+
+    def test_bad_matrix_inside_a_stack(self):
+        stack = statekit.random_mixed_stack(3, [1, 2, 8, 4, 3], [1, 2, 3, 4, 5])
+        assert _check_density(stack).shape == stack.shape
+        stack[2] = density_with_min_eigenvalue(3, -2 * PSD_TOL)
+        with pytest.raises(ValueError, match=r"^matrix not PSD: min eigenvalue -2\.000e-10$"):
+            _check_density(stack)
+        for how, message in _MESSAGES.items():
+            stack[2] = _spoiled(3, how)
+            with pytest.raises(ValueError) as exc:
+                _check_density(stack)
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("how", sorted(_MESSAGES))
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_messages_unchanged(self, how, m):
+        for check in (lambda: MixedState(m, _spoiled(m, how)), lambda: _check_density(_spoiled(m, how)[None])):
+            with pytest.raises(ValueError) as exc:
+                check()
+            assert str(exc.value) == _MESSAGES[how]
+
+    def test_empty_stack_passes(self):
+        empty = np.empty((0, 8, 8), dtype=np.complex128)
+        assert _check_density(empty).shape == (0, 8, 8)
+
+    def test_returns_the_hermitian_parts(self):
+        stack = statekit.random_mixed_stack(2, [2, 3], [0, 1])
+        stack[1, 0, 1] += 0.4e-10j  # inside HERM_TOL
+        herm = _check_density(stack)
+        assert np.array_equal(herm, 0.5 * (stack + stack.conj().swapaxes(1, 2)))
+        assert np.array_equal(herm[0], stack[0])
 
 
 class TestJsonSchema:
