@@ -77,6 +77,11 @@ def subset_purity(psi, keep):
 # amplitudes gathered per batch of Schmidt blocks in pure_subset_purities;
 # it also bounds the chunks of states the fuzz driver stacks
 _BATCH_AMPLITUDES = 1 << 13
+# gram entries per batch of partial traces and purity sums, where a batch of
+# Schmidt blocks holds at most _SPLIT_TOPS tops (n >= 11); with more tops per
+# gram batch a larger trace batch measured slower, so there the two are one
+_TRACE_ENTRIES = 1 << 15
+_SPLIT_TOPS = 4
 
 
 def _leading_run(axes):
@@ -84,19 +89,36 @@ def _leading_run(axes):
     return next((i for i, a in enumerate(axes) if a != i), len(axes))
 
 
+def _block_index(n, axes):
+    """Amplitude indices of each axis tuple's digits, most significant first.
+
+    ``axes`` is (T, k); row t of the (T, 2^k) result maps each k-bit number
+    to the amplitude index its bits select along ``axes[t]``, axis a being
+    bit n-1-a of an amplitude index.
+    """
+    k = axes.shape[1]
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    return (1 << (n - 1 - axes)) @ bits.T
+
+
 @cache
 def _purity_plan(n):
     """How ``pure_subset_purities`` runs for n qubits, built once per n.
 
-    Returns (batches, masks, stack).  Each batch is (rows, cols, levels).
-    ``rows | cols`` indexes the amplitudes into the batch's Schmidt blocks,
-    one per floor(n/2)-qubit subset.  ``levels`` holds, per smaller subset
-    size, (count, dim, groups); a group (parents, lo, hi) traces qubit q out
-    of the first ``parents`` matrices of the level above, lo = 2^(q-1) and
-    hi being the dimensions of the factors before and after it.  ``masks``
-    gives every matrix's subset, batch after batch.  ``stack`` is how many
-    states go through the batches together: as many as keep all their
-    Schmidt blocks within ``_BATCH_AMPLITUDES``, and at least one.
+    Returns (batches, masks, stack, gram).  Each batch is (rows, cols,
+    levels).  ``rows | cols`` indexes the amplitudes into the batch's
+    Schmidt blocks, one per floor(n/2)-qubit subset (a top); ``gram`` tops
+    at a time are gathered and multiplied, as many as keep the blocks
+    within ``_BATCH_AMPLITUDES``.  Where that is at most ``_SPLIT_TOPS``
+    tops, a batch holds as many gram batches as keep its grams within
+    ``_TRACE_ENTRIES`` entries; otherwise it holds one.  ``levels`` holds,
+    per smaller subset size, (count, dim, groups); a group (parents, lo, hi)
+    traces qubit q out of the first ``parents`` > 0 matrices of the level
+    above, lo = 2^(q-1) and hi being the dimensions of the factors before
+    and after it.  ``masks`` gives every matrix's subset, batch after batch.
+    ``stack`` is how many states go through the batches together: as many
+    as keep all their Schmidt blocks within ``_BATCH_AMPLITUDES``, and at
+    least one.
 
     A subset holding qubits 1..r (not r+1) is the parent of one child per
     q <= r, the subset without qubit q, which holds 1..q-1 and not q.  With
@@ -106,15 +128,14 @@ def _purity_plan(n):
     half = n // 2
     tops = [t for t in combinations(range(n), half) if half and (2 * half < n or t[0] == 0)]
     tops.sort(key=_leading_run, reverse=True)
-    index = np.arange(1 << n).reshape((2,) * n)
-    step = max(1, _BATCH_AMPLITUDES >> n)
+    gram = max(1, _BATCH_AMPLITUDES >> n)
+    step = gram * max(1, (_TRACE_ENTRIES >> 2 * half) // gram) if gram <= _SPLIT_TOPS else gram
+    rest = [[a for a in range(n) if a not in t] for t in tops]
+    rows = _block_index(n, np.array(tops, dtype=np.intp).reshape(len(tops), half))[:, :, None]
+    cols = _block_index(n, np.array(rest, dtype=np.intp).reshape(len(tops), n - half))[:, None, :]
     batches, masks = [], []
     for start in range(0, len(tops), step):
         level = subsets = tops[start : start + step]
-        blocks = np.array([
-            index.transpose(t + tuple(a for a in range(n) if a not in t)).reshape(1 << half, -1)
-            for t in level
-        ])
         levels = []
         for k in range(half, 1, -1):
             runs = [_leading_run(s) for s in level]
@@ -123,12 +144,12 @@ def _purity_plan(n):
             level = [s[: q - 1] + s[q:] for q, g in zip(qs, groups) for s in level[: g[0]]]
             if not level:
                 break
-            levels.append((len(level), 1 << (k - 1), groups))
+            levels.append((len(level), 1 << (k - 1), [g for g in groups if g[0]]))
             subsets = subsets + level
         masks += [sum(1 << a for a in s) for s in subsets]
-        batches.append((blocks[:, :, :1].copy(), blocks[:, :1, :].copy(), levels))
+        batches.append((rows[start : start + step], cols[start : start + step], levels))
     stack = max(1, _BATCH_AMPLITUDES // max(1, len(tops) << n))
-    return batches, np.array(masks, dtype=np.intp), stack
+    return batches, np.array(masks, dtype=np.intp), stack, gram
 
 
 def pure_subset_purities(amps):
@@ -138,40 +159,45 @@ def pure_subset_purities(amps):
     is (B, 2^n), row b indexed by subset mask, bit (i-1) standing for qubit
     i, with entry 0, the empty set, equal to 1.  Only the |S| = floor(n/2)
     subsets (those holding qubit 1 when n is even) take a Schmidt-block
-    gram of the amplitudes, a batch of blocks per matrix product.  Every
+    gram of the amplitudes, a batch of blocks per matrix product, each
+    product written into its slice of the batch's gram buffer.  Every
     smaller subset's reduced matrix is its parent's partial trace over one
     qubit, the parent being S plus the lowest qubit S lacks, so each subset
-    is reached once; the traces run one subset size at a time over a whole
-    batch.  A larger subset takes its complement's purity (equal for a pure
-    state), except the full set, whose tr(rho^2) = <psi|psi>^2 comes from
-    the amplitudes, one ``vecdot`` over the stack, so a normalisation error
-    stays visible.
+    is reached once; the traces and the purity sums run one subset size at
+    a time over a whole batch.  A larger subset takes its complement's
+    purity (equal for a pure state), except the full set, whose tr(rho^2)
+    = <psi|psi>^2 comes from the amplitudes, one ``vecdot`` over the stack,
+    so a normalisation error stays visible.
 
     The states go through the batches of ``_purity_plan(n)`` several at a
     time, as many as keep all their Schmidt blocks within
-    ``_BATCH_AMPLITUDES``; from n = 8 up one state's blocks fill that
+    ``_BATCH_AMPLITUDES``; from n = 7 up one state's blocks fill that
     budget, so each state runs alone.  Every row equals the one-state
     result bit for bit.
     """
     count, dim = amps.shape
     n = dim.bit_length() - 1
     full = dim - 1
-    batches, masks, step = _purity_plan(n)
+    batches, masks, step, gram = _purity_plan(n)
     purities = np.empty((count, dim))
     purities[:, 0] = 1.0
     purities[:, full] = np.vecdot(amps, amps).real ** 2
     if not batches:  # one qubit: only the empty and the full set
         return purities
+    width = 1 << n // 2
     for start in range(0, count, step):
         stack = amps[start : start + step]
         b = len(stack)
         vals = []
         for rows, cols, levels in batches:
-            # blocks ordered (subset, state), so a level's leading subsets
-            # are one slice for every state; no copy for a single state
-            blocks = np.take(stack, rows | cols, axis=1).swapaxes(0, 1)
-            blocks = np.ascontiguousarray(blocks).reshape(-1, *blocks.shape[2:])
-            mats = [blocks @ blocks.conj().transpose(0, 2, 1)]
+            grams = np.empty((len(rows) * b, width, width), dtype=np.complex128)
+            for at in range(0, len(rows), gram):
+                # blocks ordered (subset, state), so a level's leading subsets
+                # are one slice for every state; no copy for a single state
+                blocks = np.take(stack, rows[at : at + gram] | cols[at : at + gram], axis=1).swapaxes(0, 1)
+                blocks = np.ascontiguousarray(blocks).reshape(-1, *blocks.shape[2:])
+                np.matmul(blocks, blocks.conj().transpose(0, 2, 1), out=grams[at * b : at * b + len(blocks)])
+            mats = [grams]
             for size, side, groups in levels:
                 parent = mats[-1]
                 kids = np.empty((size * b, side, side), dtype=np.complex128)

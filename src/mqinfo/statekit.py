@@ -420,7 +420,10 @@ def state_from_json(text):
     """Parse the wire format; any malformed or mistyped input is a ValueError."""
     import json
 
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise ValueError("state JSON is nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError(f"state must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")

@@ -71,6 +71,13 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, flag", [("report", "--state"), ("mixed-check", "--rho")])
+    def test_deeply_nested_file_exit_2(self, command, flag, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        assert main([command, flag, f"file:{path}"]) == 2
+        assert capsys.readouterr().err == "error: state JSON is nested too deeply\n"
+
     def test_table_context_shapes(self, capsys):
         assert main(["report", "--state", "ghz:4"]) == 0
         out = capsys.readouterr().out

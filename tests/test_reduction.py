@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import mqinfo as mq
-from mqinfo.reduction import subset_purity
+from mqinfo import reduction
+from mqinfo.reduction import pure_subset_purities, subset_purity
 
 from conftest import dense_pauli
 
@@ -76,6 +77,33 @@ class TestPurity:
             assert subset_purity(psi, keep) == pytest.approx(
                 mq.purity(mq.partial_trace(psi, keep)), abs=1e-12
             )
+
+
+class TestPurityPlan:
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_masks_and_budgets(self, n):
+        batches, masks, stack, gram = reduction._purity_plan(n)
+        full = (1 << n) - 1
+        covered = np.concatenate([masks, full ^ masks])
+        assert np.array_equal(np.sort(covered), np.arange(1, full))
+        # a batch of Schmidt blocks stays within the amplitude budget unless
+        # one top alone exceeds it, and a batch of grams within its entry budget
+        entries = 1 << 2 * (n // 2)
+        for rows, cols, levels in batches:
+            assert (stack * min(gram, len(rows))) << n <= max(reduction._BATCH_AMPLITUDES, 1 << n)
+            assert stack * len(rows) * entries <= max(reduction._TRACE_ENTRIES, gram * entries)
+            assert all(parents > 0 for _, _, groups in levels for parents, _, _ in groups)
+
+    @pytest.mark.parametrize("n", [11, 12, 13])
+    def test_matches_per_subset_gram(self, n):
+        psi = mq.random_pure(n, 500 + n)
+        purities = pure_subset_purities(psi.amplitudes[None])[0]
+        rng = np.random.default_rng(n)
+        for k in range(1, n):
+            for _ in range(3):
+                keep = sorted(rng.choice(n, size=k, replace=False) + 1)
+                mask = sum(1 << (q - 1) for q in keep)
+                assert abs(purities[mask] - subset_purity(psi, keep)) <= 1e-12
 
 
 class TestSpinFlip:

@@ -447,11 +447,12 @@ class TestJsonSchema:
             '{"kind":"mixed","m":true,"matrix":[[[1,0],[0,0]],[[0,0],[0,0]]]}',
             '{"kind":"mixed","m":1,"matrix":[[1,0],[0,0]]}',
             '{"kind":"mixed","m":1,"matrix":[[[Infinity,0],[0,0]],[[0,0],[0,0]]]}',
+            "[" * 200000 + "]" * 200000,
         ],
         ids=[
             "top-level-list", "amplitudes-number", "nan-string", "nan-literal", "ragged",
             "null-entry", "n-string", "n-float", "no-amplitudes", "m-bool", "flat-matrix",
-            "inf-entry",
+            "inf-entry", "deep-nesting",
         ],
     )
     def test_mistyped_input_is_value_error(self, text):
