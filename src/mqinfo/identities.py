@@ -15,14 +15,14 @@ kinds: a chunk is an array, an amplitude stack (pure) or a matrix stack
 (mixed), its tables come from one ``info_values`` or ``spectrum_values``
 call, and ``_evaluate`` checks the whole chunk at once; only a summary's
 worst state is wrapped as a PureState or MixedState.  Checkers are pure
-functions and reject a negative, infinite or NaN tolerance, a ``k`` outside
-1..n and a bad ``pair``.
+functions and reject a negative, infinite or NaN tolerance, a case with
+other keys than the row's, a ``k`` outside 1..n, a bad ``pair`` and a table
+of another qubit count.
 
-Conventions resolved here (fixed by the explicit small-n instances):
-  * the one-vs-rest sum runs over all subsets containing qubit k with
-    at least two elements;
-  * the pair-vs-rest sum runs over all subsets of size >= 2 that intersect
-    both the pair and its complement (crossing subsets).
+eq14 (one qubit k vs the rest) and eq20 (a pair vs the rest) are one
+relation, ``_partition_sides``, at parts of one and two qubits: its sum runs
+over the subsets that cross the part, meeting it and its complement, which
+for one qubit k are the subsets of size >= 2 that contain k.
 """
 
 import itertools
@@ -34,13 +34,13 @@ from typing import Callable
 import numpy as np
 
 from .measures import (
+    _readonly,
     _subset_to_mask,
     all_infos_fast,
     info_values,
     n_tangle,
     n_tangles,
     spectrum_values,
-    subset_index,
 )
 from .reduction import _BATCH_AMPLITUDES, pure_subset_purities
 from .statekit import (
@@ -75,14 +75,14 @@ class IdentityReport:
 # ---------------------------------------------------------------------------
 # pure-state identities
 # ---------------------------------------------------------------------------
-# Each relation's arithmetic is one function over a stack of B states:
-# values and purities are (B, 2^n) arrays indexed by subset mask (an
-# InfoTable's, one row per state), amps the (B, 2^n) amplitudes, or for
-# density matrices overlaps, tr(rho_S rho~_S) by mask; the result is the
-# (B,) left- and right-hand sides.  A verdict function maps them to (score,
-# margin or None, failed, gate), the largest score being the worst case.
-# ``_evaluate`` runs them, on one state for ``check`` and on whole chunks
-# for fuzz.
+# Each relation's arithmetic is one function over a stack of B states and
+# some of its cases: values and purities are (B, 2^n) arrays indexed by
+# subset mask (an InfoTable's, one row per state), amps the (B, 2^n)
+# amplitudes, or for density matrices overlaps, tr(rho_S rho~_S) by mask;
+# the result is the (B, cases) left- and right-hand sides, or (B,) for a
+# row of one case.  A verdict function maps them to (score, margin or None,
+# failed, gate), the largest score being the worst case.  ``_evaluate``
+# runs them, on one state for ``check`` and on whole chunks for fuzz.
 
 def _check_tol(tol, name="tol"):
     # an infinite or NaN tolerance would pass every check vacuously
@@ -100,55 +100,52 @@ def _tau(purities, subset):
 
 
 @cache
-def _crossing(n, part):
-    """Subsets that meet the qubits of mask ``part`` and leave them, as a mask.
-
-    For one qubit these are the subsets of size >= 2 that contain it.
-    """
-    masks, _ = subset_index(n)
-    inside = masks & part
+def _crossing(n, parts):
+    """A (parts, K) int16 index: per part mask, the masks of the subsets
+    that meet the part and leave it, K = 2^n - 2^p - 2^(n-p) + 1 for p-qubit
+    parts.  Read-only."""
+    masks = np.arange(1 << n, dtype=np.int16)  # every mask is below 2^MAX_QUBITS
+    inside = np.array(parts, dtype=np.int16)[:, None] & masks
     crossing = (inside != 0) & (inside != masks)
-    crossing.flags.writeable = False
-    return crossing
+    return _readonly(np.broadcast_to(masks, crossing.shape)[crossing].reshape(len(parts), -1))
 
 
-def _row_sums(values, mask):
-    """Each row's sum over the masked columns, rounded as a 1-D sum would be.
-
-    ``compress`` gives C-ordered rows; a boolean index ``values[:, mask]``
-    would not, and numpy then sums column by column, which rounds
-    differently from one state's sum.
-    """
-    return values.compress(mask, axis=1).sum(axis=1)
+def _row_sums(values, index):
+    """Per state, the sum of ``values`` over each row of ``index``: (B, rows).
+    The C-ordered gather is summed as one (B * rows, K) array, which rounds
+    as one state's 1-D sum does; the last axis of a 3-D gather may not."""
+    gathered = np.take(values, index, axis=1)
+    return gathered.reshape(-1, gathered.shape[-1]).sum(axis=1).reshape(len(values), -1)
 
 
-def _complementarity_sides(values, purities, amps):
+def _complementarity_sides(values, purities, amps, cases):
     n = _num_qubits(values)
     return values[:, 1:].sum(axis=1), np.full(len(values), float(n))
 
 
-def _single_partition_sides(values, purities, amps, k):
+def _partition_sides(values, purities, amps, cases):
+    """2^(p-1) (2^(n-2p) + 1) tau_P(rest) = the sum of I_S over S crossing P.
+
+    It holds for every part P of p qubits of a pure state: 2^|S| tr rho_S^2
+    sums the exact-support sums within S, and tr rho_P^2 = tr rho_{P^c}^2.
+    A case's one value is its part, a qubit (eq14's ``k``) or a list of
+    qubits (eq20's ``pair``); the parts share one size.
+    """
     n = _num_qubits(values)
-    part = 1 << (k - 1)
-    lhs = (2.0 ** (n - 2) + 1.0) * _tau(purities, part)
-    return lhs, _row_sums(values, _crossing(n, part))
+    qubits = [q if isinstance(q, list) else [q] for case in cases for q in case.values()]
+    parts = tuple(map(_subset_to_mask, qubits))
+    p = parts[0].bit_count()
+    lhs = 2.0 ** (p - 1) * (2.0 ** (n - 2 * p) + 1.0) * _tau(purities, list(parts))
+    return lhs, _row_sums(values, _crossing(n, parts))
 
 
-def _pair_partition_sides(values, purities, amps, pair):
-    n = _num_qubits(values)
-    part = _subset_to_mask(pair)
-    lhs = 2.0 * (2.0 ** (n - 4) + 1.0) * _tau(purities, part)
-    return lhs, _row_sums(values, _crossing(n, part))
-
-
-def _tangle_relation_sides(values, purities, amps):
-    _, sizes = subset_index(4)
-    pair_sum = _row_sums(values, sizes == 2)
-    single_sum = _row_sums(values, sizes == 1)
+def _tangle_relation_sides(values, purities, amps, cases):
+    pair_sum = _row_sums(values, [3, 5, 6, 9, 10, 12])
+    single_sum = _row_sums(values, [1, 2, 4, 8])
     return pair_sum - single_sum, 4.0 * (n_tangles(amps) - 1.0)
 
 
-def _combination_sides(values, purities, amps):
+def _combination_sides(values, purities, amps, cases):
     # summed one by one, in the order the relation lists the taus
     single = _tau(purities, 1) + _tau(purities, 2) + _tau(purities, 4) + _tau(purities, 8)
     pair = _tau(purities, 3) + _tau(purities, 5) + _tau(purities, 9)
@@ -189,11 +186,11 @@ def residual_combination_4q(psi, table=None, tol=EQ_TOL):
 # mixed-state identities
 # ---------------------------------------------------------------------------
 
-def _mixed_pair_sides(values, purities, overlaps):
+def _mixed_pair_sides(values, purities, overlaps, cases):
     return purities[:, 1] + purities[:, 2] - purities[:, 3], 1.0 - overlaps[:, 3]
 
 
-def _mixed_triple_sides(values, purities, overlaps):
+def _mixed_triple_sides(values, purities, overlaps, cases):
     # over the pairs (1, 2), (1, 3) and (2, 3)
     pair_purities = purities[:, 3] + purities[:, 5] + purities[:, 6]
     pair_overlaps = overlaps[:, 3] + overlaps[:, 5] + overlaps[:, 6]
@@ -265,15 +262,15 @@ class Identity:
     """One of the paper's relations: the one registry row that describes it.
 
     ``applies(n)`` accepts the qubit counts it holds for; ``requirement``
-    names them for errors.  ``sides(values, purities, amps_or_overlaps,
-    **case)`` gives the (B,) left- and right-hand sides over a stack of
-    states, and ``verdict(lhs, rhs, tol)`` their (score, margin or None,
-    failed, gate), the largest score being the worst case: an equality's
-    |residual|, an inequality's -margin.  ``cases(n)`` lists one state's
-    ``sides`` keyword dicts, one report each, in order: ``{}``,
-    ``{"k": k}`` or ``{"pair": [a, b]}``; each is also its report's context.
-    ``label`` names the reports; ``context(state)`` adds the row's own
-    context (eq12's tangle).
+    names them for errors.  ``cases(n)`` lists one state's cases, one
+    report each, in order: ``{}``, ``{"k": k}`` or ``{"pair": [a, b]}``;
+    each is its report's context and the keywords of ``check``.
+    ``sides(values, purities, amps_or_overlaps, cases)`` gives the left-
+    and right-hand sides of every case over a stack of states, and
+    ``verdict(lhs, rhs, tol)`` their (score, margin or None, failed, gate),
+    the largest score being the worst case: an equality's |residual|, an
+    inequality's -margin.  ``label`` names the reports; ``context(state)``
+    adds the row's own context (eq12's tangle).
     """
 
     kind: str
@@ -292,11 +289,11 @@ IDENTITIES = {
         "pure", lambda n: True, "--n >= 1", "complementarity", _complementarity_sides,
     ),
     "eq14": Identity(
-        "pure", lambda n: n >= 2, "--n >= 2", "single-partition", _single_partition_sides,
+        "pure", lambda n: n >= 2, "--n >= 2", "single-partition", _partition_sides,
         cases=_each_qubit,
     ),
     "eq20": Identity(
-        "pure", lambda n: n >= 4, "--n >= 4", "pair-partition", _pair_partition_sides,
+        "pure", lambda n: n >= 4, "--n >= 4", "pair-partition", _partition_sides,
         cases=_each_pair,
     ),
     "eq12": Identity(
@@ -345,24 +342,24 @@ def _identity(name, n):
 def _evaluate(ident, arrays, cases, tol):
     """(lhs, rhs, score, margin, failed, gate) of row ``ident`` on a stack of states.
 
-    ``arrays`` are the stack's tables and ``cases`` keyword dicts of the
-    row's ``sides``.  The arrays are (B, cases): one row per state, one
-    column per case; ``margin`` is None where the verdict gives none.
+    ``arrays`` are the stack's tables and ``cases`` some of the row's
+    cases.  The arrays are (B, cases): one row per state, one column per
+    case; ``margin`` is None where the verdict gives none.
     """
-    sides = np.array([ident.sides(*arrays, **case) for case in cases])
-    lhs, rhs = sides.transpose(1, 2, 0)  # (cases, 2, B) to (B, cases) each
+    shape = len(arrays[0]), len(cases)
+    lhs, rhs = (np.reshape(side, shape) for side in ident.sides(*arrays, cases))
     return lhs, rhs, *ident.verdict(lhs, rhs, tol)
 
 
 def check(name, state, table=None, tol=EQ_TOL, **case):
     """The IdentityReport of identity ``name`` on one state, for one case.
 
-    ``case`` is one of the row's ``cases(n)``: a ``k`` outside 1..n, or a
-    ``pair`` that is not two distinct qubits of 1..n, raises ValueError,
-    and a pair is taken sorted.  ``table``, a pure state's InfoTable, is
-    computed when None and ignored for a density matrix.  The context holds
-    the qubit count (``n`` or ``m``), the case, the row's own context and
-    any ``margin``.
+    ``case`` is one of the row's ``cases(n)``: other keys than the row's, a
+    ``k`` outside 1..n, or a ``pair`` that is not two distinct qubits of
+    1..n raise ValueError, and a pair is taken sorted.  ``table``, a pure
+    state's InfoTable of n qubits, is computed when None and ignored for a
+    density matrix.  The context holds the qubit count (``n`` or ``m``), the
+    case, the row's own context and any ``margin``.
     """
     return _check(name, state, table, tol, **case)
 
@@ -378,6 +375,10 @@ def _check(name, state, table, tol, **case):
     if isinstance(state, PureState) != (ident.kind == "pure"):
         raise ValueError(f"{name} is a {ident.kind}-state identity")
     _check_tol(tol)
+    keys = list(ident.cases(2)[0])  # every row has a case at n = 2
+    if list(case) != keys:
+        takes, got = (", ".join(names) or "no keys" for names in (keys, case))
+        raise ValueError(f"{name} takes {takes}, got {got}")
     if "k" in case and not 1 <= case["k"] <= n:
         raise ValueError(f"qubit {case['k']} outside 1..{n}")
     if "pair" in case:
@@ -387,6 +388,8 @@ def _check(name, state, table, tol, **case):
         case["pair"] = list(pair)
     if ident.kind == "pure":
         table = table if table is not None else all_infos_fast(state)
+        if table.num_qubits != n:
+            raise ValueError(f"table of {table.num_qubits} qubits for a state of {n}")
         amps = state.amplitudes[None]
         purities = table.purities
         if purities is None:  # an oracle table carries none

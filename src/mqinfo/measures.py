@@ -54,15 +54,11 @@ def _readonly(arr):
 
 
 @cache
-def subset_index(n):
-    """(masks, sizes) over all 2^n subset masks of n qubits.
-
-    ``masks`` is ``arange(2^n)`` and ``sizes`` the popcount of each mask, so
-    "contains qubit k" or "has at least two qubits" are one vectorised bit
-    test.  Built once per n and read-only.
-    """
-    masks = np.arange(1 << n)
-    return _readonly(masks), _readonly(np.bitwise_count(masks))
+def subset_sizes(n):
+    """The size of each of the 2^n subset masks of n qubits, its popcount,
+    so "has at least two qubits" is one vectorised test.  Built once per n
+    and read-only."""
+    return _readonly(np.bitwise_count(np.arange(1 << n)))
 
 
 @cache
@@ -127,11 +123,11 @@ class InfoTable:
         return list(self.entries)
 
     def local_total(self):
-        _, sizes = subset_index(self.num_qubits)
+        sizes = subset_sizes(self.num_qubits)
         return float(self.values[sizes == 1].sum())
 
     def nonlocal_total(self):
-        _, sizes = subset_index(self.num_qubits)
+        sizes = subset_sizes(self.num_qubits)
         return float(self.values[sizes >= 2].sum())
 
     def to_json_obj(self):
@@ -182,7 +178,7 @@ def _subset_sums(f, n, op):
 
 def _infos(sums, n):
     """I_S = A_S - [|S| >= 2] from the exact-support sums A, in place; I of {} is 0."""
-    _, sizes = subset_index(n)
+    sizes = subset_sizes(n)
     sums -= sizes >= 2
     sums[:, 0] = 0.0
     return sums
@@ -236,7 +232,7 @@ def info_values(amps):
     """
     n = amps.shape[1].bit_length() - 1
     purities = pure_subset_purities(amps)
-    _, sizes = subset_index(n)
+    sizes = subset_sizes(n)
     f = np.ldexp(purities, sizes)
     _subset_sums(f, n, np.subtract)
     return _infos(f, n), purities
@@ -258,7 +254,7 @@ def spectrum_values(matrices):
     """
     m = matrices.shape[1].bit_length() - 1
     sums = _support_sums(matrices, m)
-    _, sizes = subset_index(m)
+    sizes = subset_sizes(m)
     zeta = np.stack((sums, sums * (1.0 - 2.0 * (sizes & 1))))
     _subset_sums(zeta, m, np.add)
     purities, overlaps = zeta * 0.5**sizes
@@ -294,7 +290,8 @@ def tau_linear_entropy(psi, subset, table=None):
     """2(1 - tr(rho_S^2)) for a proper non-empty subset S.
 
     Given a ``table`` of ``psi`` that carries subset purities (the fast
-    route's), the purity is read from it instead of recomputed.
+    route's), the purity is read from it instead of recomputed; a table of
+    another qubit count raises ValueError.
     """
     subset = tuple(sorted(set(subset)))
     if not subset:
@@ -303,6 +300,8 @@ def tau_linear_entropy(psi, subset, table=None):
         raise ValueError("subset must be a proper subset of the qubits")
     if subset[0] < 1 or subset[-1] > psi.num_qubits:
         raise ValueError(f"subset {subset} outside qubit range 1..{psi.num_qubits}")
+    if table is not None and table.num_qubits != psi.num_qubits:
+        raise ValueError(f"table of {table.num_qubits} qubits for a state of {psi.num_qubits}")
     if table is not None and table.purities is not None:
         pur = float(table.purities[_subset_to_mask(subset)])
     else:
@@ -316,7 +315,7 @@ def n_tangles(amps):
     if n % 2 != 0:
         raise ValueError(f"n-tangle requires an even qubit count, got {n}")
     # sigma_y^n |b> = i^n (-1)^popcount(b) |~b>, and ~b reverses the index
-    _, sizes = subset_index(n)
+    sizes = subset_sizes(n)
     sums = np.sum((1.0 - 2.0 * (sizes & 1)) * amps * amps[:, ::-1], axis=1)
     # scalar abs and ** round like a single state's value; numpy's array abs
     # and square differ from them in the last bit

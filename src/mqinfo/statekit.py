@@ -338,11 +338,6 @@ def random_mixed(m, rank, seed):
     return MixedState(m, random_mixed_stack(m, [rank], [seed])[0])
 
 
-def random_mixed_states(m, ranks, seeds):
-    """``random_mixed(m, rank, seed)`` for each rank and seed, seeded together."""
-    return [MixedState(m, mat) for mat in random_mixed_stack(m, ranks, seeds)]
-
-
 def random_mixed_stack(m, ranks, seeds):
     """Matrices of ``random_mixed(m, rank, seed)`` for each rank and seed, as a
     (len(seeds), 2^m, 2^m) stack, checked like a MixedState but not wrapped

@@ -1,5 +1,5 @@
-import inspect
 import re
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +16,8 @@ from mqinfo.identities import (
     check,
     derive_seed,
 )
+from mqinfo.measures import info_values
+from mqinfo.statekit import random_pure_stack
 
 
 def bell_pair_tensor():
@@ -125,6 +127,35 @@ class TestPairPartition:
     def test_too_few_qubits(self, w3):
         with pytest.raises(ValueError):
             mq.residual_pair_partition(w3, (1, 2))
+
+
+class TestPartitionSides:
+    """eq14 and eq20 are one part-vs-rest relation, which holds for every part P of
+    p qubits: 2^(p-1) (2^(n-2p) + 1) tau_P(rest) = the sum of I_S over S crossing P."""
+
+    @staticmethod
+    def _sides(amps, p):
+        n = amps.shape[1].bit_length() - 1
+        cases = [{"part": list(part)} for part in combinations(range(1, n + 1), p)]
+        return identities._partition_sides(*info_values(amps), amps, cases)
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 9])
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_larger_parts(self, n, p):
+        # no registry row runs these parts, so fuzz and report do not
+        amps = random_pure_stack(n, [derive_seed(n, t) for t in range(3)])
+        lhs, rhs = self._sides(amps, p)
+        assert lhs.shape == rhs.shape == (3, len(list(combinations(range(n), p))))
+        assert np.abs(lhs - rhs).max() <= 1e-9
+        assert rhs.min() > 0.1  # a random state is entangled across every part
+
+    @pytest.mark.parametrize("n", [4, 5, 8])
+    def test_one_and_two_qubit_parts_are_eq14_and_eq20(self, n):
+        psi = mq.random_pure(n, 40 + n)
+        for name, p in (("eq14", 1), ("eq20", 2)):
+            lhs, rhs = self._sides(psi.amplitudes[None], p)
+            reports = [check(name, psi, **case) for case in IDENTITIES[name].cases(n)]
+            assert [(rep.lhs, rep.rhs) for rep in reports] == list(zip(lhs[0], rhs[0]))
 
 
 class TestTangleRelation4q:
@@ -333,13 +364,28 @@ class TestRegistryRows:
                     assert (rep.lhs, rep.rhs) == (lhs[row, col], rhs[row, col])
 
     @pytest.mark.parametrize("name", list(IDENTITIES))
-    def test_case_keys_are_keywords_of_sides(self, name):
+    def test_case_with_other_keys(self, name):
+        # a missing, an extra or a wrong key names the keys the row takes;
+        # under eq20 a k would otherwise be a one-qubit part, eq14's relation
         ident = IDENTITIES[name]
-        keywords = list(inspect.signature(ident.sides).parameters)[3:]
-        for n in SIZES[ident.kind]:
-            if ident.applies(n):
-                for case in ident.cases(n):
-                    assert list(case) == keywords
+        n = next(n for n in SIZES[ident.kind] if ident.applies(n))
+        state = _state(ident.kind, n, 5)
+        case = ident.cases(n)[0]
+        other = {"k": 1} if "pair" in case else {"pair": [1, 2]}
+        takes = ", ".join(case) or "no keys"
+        for bad in ({}, {**case, **other}, other):
+            if bad != case:
+                got = ", ".join(bad) or "no keys"
+                with pytest.raises(ValueError, match=f"^{name} takes {takes}, got {got}$"):
+                    check(name, state, **bad)
+
+    def test_table_of_another_qubit_count(self):
+        psi = mq.random_pure(4, 1)
+        table = mq.all_infos_fast(mq.random_pure(5, 2))
+        calls = (lambda: check("eq1b", psi, table), lambda: mq.residual_single_partition(psi, 1, table))
+        for call in calls:
+            with pytest.raises(ValueError, match="^table of 5 qubits for a state of 4$"):
+                call()
 
     @pytest.mark.parametrize(
         "name, n",

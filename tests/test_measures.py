@@ -176,6 +176,12 @@ class TestTauLinearEntropy:
         with pytest.raises(ValueError, match="outside"):
             mq.tau_linear_entropy(psi, (6,), table)
 
+    def test_table_of_another_qubit_count(self):
+        # read blindly, this table's purity at mask 3 gives 1.2690 for 1.1138
+        psi = mq.random_pure(4, 1)
+        with pytest.raises(ValueError, match="^table of 5 qubits for a state of 4$"):
+            mq.tau_linear_entropy(psi, (1, 2), mq.all_infos_fast(mq.random_pure(5, 2)))
+
     def test_one_minus_info(self):
         psi = mq.random_pure(4, 17)
         for k in range(1, 5):

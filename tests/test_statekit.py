@@ -122,12 +122,11 @@ class TestRandomMixed:
     @pytest.mark.parametrize("ranks, seeds", [([1, 2, 3], [5]), ([1], [5, 6, 7])])
     def test_ranks_and_seeds_must_pair_up(self, ranks, seeds):
         with pytest.raises(ValueError, match="ranks for"):
-            statekit.random_mixed_states(2, ranks, seeds)
+            statekit.random_mixed_stack(2, ranks, seeds)
 
     def test_empty_batches(self):
         stack = statekit.random_pure_stack(3, [])
         assert stack.shape == (0, 8) and stack.dtype == np.complex128
-        assert statekit.random_mixed_states(2, [], []) == []
         stack = statekit.random_mixed_stack(2, [], [])
         assert stack.shape == (0, 4, 4) and stack.dtype == np.complex128
 
@@ -192,10 +191,10 @@ class TestBatchSeeding:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_mixed_matches_default_rng(self, m):
         ranks = [(i % 2**m) + 1 for i in range(len(SEED_WORDS))]
-        states = statekit.random_mixed_states(m, ranks, SEED_WORDS)
-        for rank, seed, rho in zip(ranks, SEED_WORDS, states):
+        stack = statekit.random_mixed_stack(m, ranks, SEED_WORDS)
+        for rank, seed, matrix in zip(ranks, SEED_WORDS, stack):
             ref = _reference_mixed(m, rank, seed)
-            assert np.array_equal(rho.matrix, ref)
+            assert np.array_equal(matrix, ref)
             assert np.array_equal(mq.random_mixed(m, rank, seed).matrix, ref)
 
     def test_fuzz_across_chunks_is_unchanged(self):
@@ -246,7 +245,7 @@ class TestBatchSeeding:
 
         monkeypatch.setattr(np.random, "default_rng", forbidden)
         statekit.random_pure_stack(3, [0, 2**32, 2**200])
-        statekit.random_mixed_states(2, [2, 1], [7, 8])
+        statekit.random_mixed_stack(2, [2, 1], [7, 8])
 
     @pytest.mark.parametrize("seed", SEED_WORDS)
     def test_one_seed_takes_default_rng(self, seed, monkeypatch):
