@@ -103,19 +103,34 @@ def _tau(purities, subset):
 def _crossing(n, parts):
     """A (parts, K) int16 index: per part mask, the masks of the subsets
     that meet the part and leave it, K = 2^n - 2^p - 2^(n-p) + 1 for p-qubit
-    parts.  Read-only."""
+    parts.  Read-only; built a row at a time, so no temporary outweighs it."""
     masks = np.arange(1 << n, dtype=np.int16)  # every mask is below 2^MAX_QUBITS
-    inside = np.array(parts, dtype=np.int16)[:, None] & masks
-    crossing = (inside != 0) & (inside != masks)
-    return _readonly(np.broadcast_to(masks, crossing.shape)[crossing].reshape(len(parts), -1))
+    p = parts[0].bit_count()
+    index = np.empty((len(parts), (1 << n) - (1 << p) - (1 << n - p) + 1), dtype=np.int16)
+    for row, part in zip(index, parts):
+        inside = masks & part
+        row[:] = masks[(inside != 0) & (inside != masks)]
+    return _readonly(index)
+
+
+# float64 entries per gather of _row_sums; a fuzz-n8 chunk's eq20 is one
+_GATHER_ENTRIES = 1 << 16
 
 
 def _row_sums(values, index):
     """Per state, the sum of ``values`` over each row of ``index``: (B, rows).
-    The C-ordered gather is summed as one (B * rows, K) array, which rounds
-    as one state's 1-D sum does; the last axis of a 3-D gather may not."""
-    gathered = np.take(values, index, axis=1)
-    return gathered.reshape(-1, gathered.shape[-1]).sum(axis=1).reshape(len(values), -1)
+    The rows are gathered in blocks of at most ``_GATHER_ENTRIES`` entries
+    (or one row), and each C-ordered block is summed as one (B * rows, K)
+    array, which rounds as one state's 1-D sum does; the last axis of a 3-D
+    gather may not."""
+    index = np.atleast_2d(index)
+    rows, width = index.shape
+    step = max(1, _GATHER_ENTRIES // (len(values) * width))
+    sums = np.empty((len(values), rows))
+    for at in range(0, rows, step):
+        gathered = np.take(values, index[at : at + step], axis=1)
+        sums[:, at : at + step] = gathered.reshape(-1, width).sum(axis=1).reshape(len(values), -1)
+    return sums
 
 
 def _complementarity_sides(values, purities, amps, cases):

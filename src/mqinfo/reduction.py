@@ -4,8 +4,8 @@ Reduced matrices keep qubits in ascending original index.  The pure-state
 partial trace contracts amplitudes directly (never forms the full density
 matrix), and the all-subset purity pass derives small reduced matrices from
 larger ones, which is what makes the fast path cheap.  The pass takes a
-stack of states, one per row, and runs several small states through each
-matrix product together.  ``partial_trace``, ``purity``, ``spin_flip`` and
+stack of states, one per row, and up to n = 8 runs several states through
+each batch together.  ``partial_trace``, ``purity``, ``spin_flip`` and
 ``tilde_overlap`` on density matrices are no part of any check: they are
 the tests' oracle for the purities and overlaps of the Pauli-spectrum route.
 """
@@ -74,14 +74,11 @@ def subset_purity(psi, keep):
     return float(np.sum(np.abs(gram) ** 2))
 
 
-# amplitudes gathered per batch of Schmidt blocks in pure_subset_purities;
-# it also bounds the chunks of states the fuzz driver stacks
+# amplitudes gathered per gram call of pure_subset_purities; it also bounds
+# the chunks of states the fuzz driver stacks
 _BATCH_AMPLITUDES = 1 << 13
-# gram entries per batch of partial traces and purity sums, where a batch of
-# Schmidt blocks holds at most _SPLIT_TOPS tops (n >= 11); with more tops per
-# gram batch a larger trace batch measured slower, so there the two are one
+# (top, state) gram entries per batch, which the traces and purity sums share
 _TRACE_ENTRIES = 1 << 15
-_SPLIT_TOPS = 4
 
 
 def _leading_run(axes):
@@ -105,20 +102,20 @@ def _block_index(n, axes):
 def _purity_plan(n):
     """How ``pure_subset_purities`` runs for n qubits, built once per n.
 
-    Returns (batches, masks, stack, gram).  Each batch is (rows, cols,
-    levels).  ``rows | cols`` indexes the amplitudes into the batch's
-    Schmidt blocks, one per floor(n/2)-qubit subset (a top); ``gram`` tops
-    at a time are gathered and multiplied, as many as keep the blocks
-    within ``_BATCH_AMPLITUDES``.  Where that is at most ``_SPLIT_TOPS``
-    tops, a batch holds as many gram batches as keep its grams within
-    ``_TRACE_ENTRIES`` entries; otherwise it holds one.  ``levels`` holds,
-    per smaller subset size, (count, dim, groups); a group (parents, lo, hi)
-    traces qubit q out of the first ``parents`` > 0 matrices of the level
-    above, lo = 2^(q-1) and hi being the dimensions of the factors before
-    and after it.  ``masks`` gives every matrix's subset, batch after batch.
-    ``stack`` is how many states go through the batches together: as many
-    as keep all their Schmidt blocks within ``_BATCH_AMPLITUDES``, and at
-    least one.
+    Returns (batches, masks, stack, entries).  A top is a floor(n/2)-qubit
+    subset, whose reduced matrix is a gram of its Schmidt block.  A batch
+    holds as many (top, state) grams as fit ``_TRACE_ENTRIES`` entries:
+    where one state's tops all fit, one batch holds them and ``stack``
+    states share it (3 at n = 8), no more than keep one top's blocks within
+    ``_BATCH_AMPLITUDES``; otherwise ``stack`` is 1 (8 tops a batch at
+    n = 12).  Each batch is (rows, cols, levels); ``rows | cols`` indexes
+    the amplitudes into its tops' Schmidt blocks.
+    ``levels`` holds, per smaller subset size, (count, dim, groups); a group
+    (parents, lo, hi) traces qubit q out of the first ``parents`` > 0
+    matrices of the level above, lo = 2^(q-1) and hi being the dimensions
+    of the factors before and after it.  ``masks`` gives every matrix's
+    subset, batch after batch, and ``entries`` the most matrix entries one
+    state takes in a batch, grams and traces together.
 
     A subset holding qubits 1..r (not r+1) is the parent of one child per
     q <= r, the subset without qubit q, which holds 1..q-1 and not q.  With
@@ -128,12 +125,13 @@ def _purity_plan(n):
     half = n // 2
     tops = [t for t in combinations(range(n), half) if half and (2 * half < n or t[0] == 0)]
     tops.sort(key=_leading_run, reverse=True)
-    gram = max(1, _BATCH_AMPLITUDES >> n)
-    step = gram * max(1, (_TRACE_ENTRIES >> 2 * half) // gram) if gram <= _SPLIT_TOPS else gram
+    per_batch = max(1, _TRACE_ENTRIES >> 2 * half)
+    step = min(per_batch, len(tops)) or 1
+    stack = max(1, min(per_batch // max(1, len(tops)), _BATCH_AMPLITUDES >> n))
     rest = [[a for a in range(n) if a not in t] for t in tops]
     rows = _block_index(n, np.array(tops, dtype=np.intp).reshape(len(tops), half))[:, :, None]
     cols = _block_index(n, np.array(rest, dtype=np.intp).reshape(len(tops), n - half))[:, None, :]
-    batches, masks = [], []
+    batches, masks, entries = [], [], 0
     for start in range(0, len(tops), step):
         level = subsets = tops[start : start + step]
         levels = []
@@ -148,8 +146,9 @@ def _purity_plan(n):
             subsets = subsets + level
         masks += [sum(1 << a for a in s) for s in subsets]
         batches.append((rows[start : start + step], cols[start : start + step], levels))
-    stack = max(1, _BATCH_AMPLITUDES // max(1, len(tops) << n))
-    return batches, np.array(masks, dtype=np.intp), stack, gram
+        size = len(batches[-1][0]) << 2 * half
+        entries = max(entries, size + sum(count * dim * dim for count, dim, _ in levels))
+    return batches, np.array(masks, dtype=np.intp), stack, entries
 
 
 def pure_subset_purities(amps):
@@ -159,58 +158,67 @@ def pure_subset_purities(amps):
     is (B, 2^n), row b indexed by subset mask, bit (i-1) standing for qubit
     i, with entry 0, the empty set, equal to 1.  Only the |S| = floor(n/2)
     subsets (those holding qubit 1 when n is even) take a Schmidt-block
-    gram of the amplitudes, a batch of blocks per matrix product, each
-    product written into its slice of the batch's gram buffer.  Every
-    smaller subset's reduced matrix is its parent's partial trace over one
-    qubit, the parent being S plus the lowest qubit S lacks, so each subset
-    is reached once; the traces and the purity sums run one subset size at
-    a time over a whole batch.  A larger subset takes its complement's
-    purity (equal for a pure state), except the full set, whose tr(rho^2)
-    = <psi|psi>^2 comes from the amplitudes, one ``vecdot`` over the stack,
-    so a normalisation error stays visible.
+    gram of the amplitudes.  Every smaller subset's reduced matrix is its
+    parent's partial trace over one qubit, the parent being S plus the
+    lowest qubit S lacks, so each subset is reached once; the traces and
+    the purity sums run one subset size at a time over a whole batch.  A
+    larger subset takes its complement's purity (equal for a pure state),
+    except the full set, whose tr(rho^2) = <psi|psi>^2 comes from the
+    amplitudes, one ``vecdot`` over the stack, so a normalisation error
+    stays visible.
 
-    The states go through the batches of ``_purity_plan(n)`` several at a
-    time, as many as keep all their Schmidt blocks within
-    ``_BATCH_AMPLITUDES``; from n = 7 up one state's blocks fill that
-    budget, so each state runs alone.  Every row equals the one-state
-    result bit for bit.
+    The states go through the batches of ``_purity_plan(n)`` in passes of
+    at most ``stack`` states, whose sizes differ by at most one.  A gram
+    call multiplies as many (top, state) blocks as fit ``_BATCH_AMPLITUDES``
+    amplitudes.  The grams, the traced matrices and the purity sums are
+    views into one workspace allocated once per call.  Every row equals
+    the one-state result bit for bit.
     """
     count, dim = amps.shape
     n = dim.bit_length() - 1
     full = dim - 1
-    batches, masks, step, gram = _purity_plan(n)
+    batches, masks, stack, entries = _purity_plan(n)
     purities = np.empty((count, dim))
     purities[:, 0] = 1.0
     purities[:, full] = np.vecdot(amps, amps).real ** 2
-    if not batches:  # one qubit: only the empty and the full set
+    if not batches or not count:  # no states, or one qubit: only the empty and the full set
         return purities
+    passes = -(-count // stack)
+    most = -(-count // passes)
+    work = np.empty(most * (2 * entries + len(masks)))
+    mats_work, sums = work[: 2 * most * entries].view(np.complex128), work[2 * most * entries :]
     width = 1 << n // 2
-    for start in range(0, count, step):
-        stack = amps[start : start + step]
-        b = len(stack)
-        vals = []
+    for p in range(passes):
+        start, end = count * p // passes, count * (p + 1) // passes
+        states, b = amps[start:end], end - start
+        gram = max(1, (_BATCH_AMPLITUDES >> n) // b)
+        at = 0
         for rows, cols, levels in batches:
-            grams = np.empty((len(rows) * b, width, width), dtype=np.complex128)
-            for at in range(0, len(rows), gram):
-                # blocks ordered (subset, state), so a level's leading subsets
+            grams = mats_work[: len(rows) * b * width * width].reshape(-1, width, width)
+            for top in range(0, len(rows), gram):
+                # blocks ordered (top, state), so a level's leading subsets
                 # are one slice for every state; no copy for a single state
-                blocks = np.take(stack, rows[at : at + gram] | cols[at : at + gram], axis=1).swapaxes(0, 1)
+                blocks = np.take(states, rows[top : top + gram] | cols[top : top + gram], axis=1).swapaxes(0, 1)
                 blocks = np.ascontiguousarray(blocks).reshape(-1, *blocks.shape[2:])
-                np.matmul(blocks, blocks.conj().transpose(0, 2, 1), out=grams[at * b : at * b + len(blocks)])
-            mats = [grams]
-            for size, side, groups in levels:
+                np.matmul(blocks, blocks.conj().transpose(0, 2, 1), out=grams[top * b : top * b + len(blocks)])
+                del blocks  # freed before the next gather and the traces
+            mats, used = [grams], grams.size
+            for subsets, side, groups in levels:
                 parent = mats[-1]
-                kids = np.empty((size * b, side, side), dtype=np.complex128)
-                at = 0
+                kids = mats_work[used : used + subsets * b * side * side].reshape(-1, side, side)
+                used += kids.size
+                kid = 0
                 for parents, lo, hi in groups:
                     t = parent[: parents * b].reshape(parents * b, lo, 2, hi, lo, 2, hi)
-                    out = kids[at : at + parents * b].reshape(parents * b, lo, hi, lo, hi)
+                    out = kids[kid : kid + parents * b].reshape(parents * b, lo, hi, lo, hi)
                     np.add(t[:, :, 0, :, :, 0], t[:, :, 1, :, :, 1], out=out)
-                    at += parents * b
+                    kid += parents * b
                 mats.append(kids)
-            vals += [np.vecdot(f, f) for f in (m.reshape(len(m), -1).view(np.float64) for m in mats)]
-        vals = np.concatenate(vals).reshape(-1, b).T
-        purities[start : start + b, masks] = purities[start : start + b, full ^ masks] = vals
+            for m in mats:
+                f = m.reshape(len(m), -1).view(np.float64)
+                np.vecdot(f, f, out=sums[at : at + len(m)])
+                at += len(m)
+        purities[start:end, masks] = purities[start:end, full ^ masks] = sums[:at].reshape(-1, b).T
     return purities
 
 

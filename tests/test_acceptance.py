@@ -197,12 +197,15 @@ def test_criterion_9_cross_formula_consistency():
             f"info {worst_info:.3e}, tau {worst_tau:.3e}, conc {worst_conc:.3e}")
 
 
-def _best_time(fn, arg, calls=5):
-    best = float("inf")
+def _best_times(fns, arg, calls=5):
+    """Each function's best of ``calls`` timings, the calls interleaved so
+    that a host warming up or slowing down favours none of them."""
+    best = [float("inf")] * len(fns)
     for _ in range(calls):
-        t0 = time.perf_counter()
-        fn(arg)
-        best = min(best, time.perf_counter() - t0)
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            fn(arg)
+            best[i] = min(best[i], time.perf_counter() - t0)
     return best
 
 
@@ -214,8 +217,7 @@ def test_criterion_10_performance():
 
     psi6 = mq.random_pure(6, 901)
     # best of five calls each, so one slow call on a busy host decides nothing
-    t_fast = _best_time(mq.all_infos_fast, psi6)
-    t_enum = _best_time(mq.all_infos_enumerated, psi6)
+    t_fast, t_enum = _best_times([mq.all_infos_fast, mq.all_infos_enumerated], psi6)
 
     ok = t_report < 10.0 and t_fast < t_enum
     _report("10 performance", ok,

@@ -719,8 +719,9 @@ class TestBatchedEngine:
         from mqinfo.measures import info_values
         from mqinfo.statekit import random_pure_stack
 
-        # at n = 4 and 5 the stack spans several purity passes; from n = 11
-        # up each batch of traces takes the grams of several matrix products
+        # from n = 5 to 8 the stack spans several purity passes of several
+        # states; from n = 9 up each batch of traces takes the grams of
+        # several matrix products
         seeds = [derive_seed(n, t) for t in range(min(300, 2**13 >> n) if n <= 10 else 3)]
         amps = random_pure_stack(n, seeds)
         values, purities = info_values(amps)
@@ -730,6 +731,42 @@ class TestBatchedEngine:
             assert np.array_equal(amps[row], psi.amplitudes)
             assert np.array_equal(values[row], table.values)
             assert np.array_equal(purities[row], table.purities)
+
+    @pytest.mark.parametrize("n", range(7, 11))
+    @pytest.mark.parametrize("count", [1, 3, 7, 10])
+    def test_uneven_stacks_equal_per_state(self, n, count):
+        from mqinfo.measures import info_values
+        from mqinfo.statekit import random_pure_stack
+
+        # passes of equal size: 10 states at n = 8 go through as 2, 3, 2, 3
+        seeds = [derive_seed(n, t) for t in range(count)]
+        values, purities = info_values(random_pure_stack(n, seeds))
+        for row, seed in enumerate(seeds):
+            table = mq.all_infos_fast(mq.random_pure(n, seed))
+            assert np.array_equal(values[row], table.values)
+            assert np.array_equal(purities[row], table.purities)
+
+    def test_row_sums_in_blocks_equal_one_gather(self, monkeypatch):
+        # a fuzz-n8 chunk's eq20 crossing sums are one gather; smaller
+        # blocks of pairs round as it does, and as one state's 1-D sum
+        values = np.random.default_rng(8).standard_normal((10, 256))
+        index = identities._crossing(8, tuple(3 << q for q in range(7)))
+        pairs = identities._crossing(8, tuple(sum(1 << q for q in p) for p in combinations(range(8), 2)))
+        assert len(values) * pairs.size <= identities._GATHER_ENTRIES
+        whole = identities._row_sums(values, index)
+        monkeypatch.setattr(identities, "_GATHER_ENTRIES", 4000)
+        assert np.array_equal(identities._row_sums(values, index), whole)
+        for b, row in enumerate(values):
+            assert all(row[part].sum() == whole[b, r] for r, part in enumerate(index))
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_empty_stack(self, n):
+        from mqinfo.measures import info_values
+        from mqinfo.reduction import pure_subset_purities
+
+        amps = np.empty((0, 2**n), dtype=np.complex128)
+        assert pure_subset_purities(amps).shape == (0, 2**n)
+        assert all(a.shape == (0, 2**n) for a in info_values(amps))
 
     def test_stack_rows_are_the_seeded_draws(self):
         from mqinfo.statekit import random_pure_stack

@@ -4,6 +4,7 @@ import pytest
 import mqinfo as mq
 from mqinfo import reduction
 from mqinfo.reduction import pure_subset_purities, subset_purity
+from mqinfo.statekit import random_pure_stack
 
 from conftest import dense_pauli
 
@@ -81,18 +82,62 @@ class TestPurity:
 
 class TestPurityPlan:
     @pytest.mark.parametrize("n", range(1, 15))
-    def test_masks_and_budgets(self, n):
-        batches, masks, stack, gram = reduction._purity_plan(n)
+    def test_masks_and_budgets(self, n, monkeypatch):
+        batches, masks, stack, entries = reduction._purity_plan(n)
         full = (1 << n) - 1
         covered = np.concatenate([masks, full ^ masks])
         assert np.array_equal(np.sort(covered), np.arange(1, full))
-        # a batch of Schmidt blocks stays within the amplitude budget unless
-        # one top alone exceeds it, and a batch of grams within its entry budget
-        entries = 1 << 2 * (n // 2)
+        # a batch's (top, state) grams stay within the entry budget, and
+        # states share batches only whole
+        gram = 1 << 2 * (n // 2)
+        assert stack == 1 or len(batches) <= 1
         for rows, cols, levels in batches:
-            assert (stack * min(gram, len(rows))) << n <= max(reduction._BATCH_AMPLITUDES, 1 << n)
-            assert stack * len(rows) * entries <= max(reduction._TRACE_ENTRIES, gram * entries)
+            assert stack * len(rows) * gram <= reduction._TRACE_ENTRIES
+            assert len(rows) * gram + sum(c * d * d for c, d, _ in levels) <= entries
             assert all(parents > 0 for _, _, groups in levels for parents, _, _ in groups)
+        # each gram call of a full pass stays within the amplitude budget
+        # unless one block alone exceeds it
+        calls = []
+        matmul = np.matmul
+
+        def counted(a, b, **kwargs):
+            calls.append(len(a))
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(reduction.np, "matmul", counted)
+        pure_subset_purities(random_pure_stack(n, range(stack)))
+        assert sum(calls) == stack * sum(len(rows) for rows, _, _ in batches)
+        assert all(blocks << n <= max(reduction._BATCH_AMPLITUDES, 1 << n) for blocks in calls)
+
+    @pytest.mark.parametrize(
+        ("n", "tops", "stack"),
+        [(7, 35, 14), (8, 35, 3), (9, 126, 1), (10, 32, 1), (11, 32, 1), (12, 8, 1), (13, 8, 1), (14, 2, 1)],
+    )
+    def test_batch_sizes(self, n, tops, stack):
+        # from n = 11 up the plan is the one the two-budget rule gave
+        batches, _, plan_stack, _ = reduction._purity_plan(n)
+        assert (len(batches[0][0]), plan_stack) == (tops, stack)
+
+    @pytest.mark.parametrize(("n", "count"), [(8, 10), (12, 1)])
+    def test_one_workspace_per_call(self, n, count):
+        import tracemalloc
+
+        amps = random_pure_stack(n, range(count))
+        batches, masks, stack, entries = reduction._purity_plan(n)
+        pure_subset_purities(amps)
+        tracemalloc.start()
+        try:
+            pure_subset_purities(amps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the workspace holds the largest batch's matrices and the purity
+        # sums of the largest pass; a gather holds one gram call's blocks,
+        # and 8 KB covers Python objects and array headers
+        most = -(-count // -(-count // stack))
+        workspace = most * (2 * entries + len(masks)) * 8
+        gather = max(reduction._BATCH_AMPLITUDES, 1 << n) * 16
+        assert peak <= workspace + 2 * gather + (count << n) * 8 + 8192
 
     @pytest.mark.parametrize("n", [11, 12, 13])
     def test_matches_per_subset_gram(self, n):
