@@ -49,6 +49,7 @@ from .statekit import (
     MixedState,
     PureState,
     _check_qubit_count,
+    _is_integer,
     random_mixed_stack,
     random_pure_stack,
 )
@@ -370,10 +371,11 @@ def check(name, state, table=None, tol=EQ_TOL, **case):
     """The IdentityReport of identity ``name`` on one state, for one case.
 
     ``case`` is one of the row's ``cases(n)``: other keys than the row's, a
-    ``k`` outside 1..n, or a ``pair`` that is not two distinct qubits of
-    1..n raise ValueError, and a pair is taken sorted.  ``table``, a pure
-    state's InfoTable of n qubits, is computed when None and ignored for a
-    density matrix.  The context holds the qubit count (``n`` or ``m``), the
+    ``k`` that is not an integer qubit of 1..n, or a ``pair`` that is not
+    two distinct integer qubits of 1..n raise ValueError (a bool is not an
+    integer here); qubits are taken as ints and a pair sorted.  ``table``, a
+    pure state's InfoTable of n qubits, is computed when None and ignored for
+    a density matrix.  The context holds the qubit count (``n`` or ``m``), the
     case, the row's own context and any ``margin``.
     """
     return _check(name, state, table, tol, **case)
@@ -394,11 +396,16 @@ def _check(name, state, table, tol, **case):
     if list(case) != keys:
         takes, got = (", ".join(names) or "no keys" for names in (keys, case))
         raise ValueError(f"{name} takes {takes}, got {got}")
-    if "k" in case and not 1 <= case["k"] <= n:
-        raise ValueError(f"qubit {case['k']} outside 1..{n}")
+    if "k" in case:
+        k = case["k"]
+        if not (_is_integer(k) and 1 <= k <= n):
+            raise ValueError(f"qubit {k} outside 1..{n}")
+        case["k"] = int(k)
     if "pair" in case:
-        pair = tuple(sorted(set(case["pair"])))
-        if len(pair) != 2 or pair[0] < 1 or pair[1] > n:
+        given = tuple(case["pair"])
+        integers = all(map(_is_integer, given))
+        pair = tuple(sorted(set(map(int, given)))) if integers else given
+        if not integers or len(pair) != 2 or pair[0] < 1 or pair[1] > n:
             raise ValueError(f"bad pair {pair} for n={n}")
         case["pair"] = list(pair)
     if ident.kind == "pure":
@@ -482,7 +489,7 @@ def fuzz(names, n, trials, base_seed, tol=EQ_TOL, rank=None):
     pure = idents[0].kind == "pure"
     if pure and rank is not None:
         raise ValueError(f"rank applies to density matrices, not to {names!r}")
-    _check_qubit_count(n, MAX_QUBITS if pure else MAX_MIXED_QUBITS)
+    n = _check_qubit_count(n, MAX_QUBITS if pure else MAX_MIXED_QUBITS)
     size = {"n": n} if pure else {"m": n, "rank": rank, "min_margin": None}
     summaries = [
         {"identity": name, **size, "trials": trials, "max_residual": 0.0, "failures": 0}

@@ -12,13 +12,15 @@ Index convention: qubit 1 is the most significant bit of the basis index,
 so |q1 q2 ... qn> maps to the integer q1*2^(n-1) + ... + qn.
 
 Random states draw what ``np.random.default_rng(seed)`` draws.  A list of two
-or more non-negative integer seeds is seeded in one batch: numpy's own
-``SeedSequence`` hashing (entropy pool and ``generate_state``) runs as uint32
-array steps over every seed at once, and PCG64's 128-bit seeding (inc = 2
+or more integer seeds in [0, 2^128) is seeded in one batch: numpy's
+``SeedSequence`` hashes each such seed as one four-word entropy pool, and
+that hashing (pool fill, four all-pairs rounds, ``generate_state``) runs as
+uint32 array steps over every seed at once; PCG64's 128-bit seeding (inc = 2
 initseq + 1, state = (inc + initstate) M + inc) puts one PCG64 per call into
-each seed's state.  A lone seed, any other seed, and every seed when a
-one-time check finds that the batch route differs from ``default_rng`` (a
-numpy whose seeding changed), go to ``default_rng`` itself.
+each seed's state.  A lone seed, a list holding any other seed (negative,
+non-integer, or of 2^128 or more), and every list when a one-time check
+finds that the batch route differs from ``default_rng`` (a numpy whose
+seeding changed), go to ``default_rng`` itself.
 """
 
 from dataclasses import dataclass, field
@@ -36,9 +38,18 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 
 
+def _is_integer(x):
+    """Whether ``x`` is an int or a numpy integer, and not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_qubit_count(n, limit=MAX_QUBITS):
+    """``n`` as an int; ValueError unless it is an integer (not a bool) in [1, limit]."""
+    if not _is_integer(n):
+        raise ValueError(f"qubit count must be an integer, got {n!r}")
     if not (1 <= n <= limit):
         raise ValueError(f"qubit count {n} outside [1, {limit}]")
+    return int(n)
 
 
 def _check_normalized(amps):
@@ -58,13 +69,13 @@ class PureState:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        n = self.num_qubits
-        _check_qubit_count(n)
+        n = _check_qubit_count(self.num_qubits)
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (2**n,):
             raise ValueError(f"expected {2**n} amplitudes, got {amps.shape}")
         _check_normalized(amps)
         amps.flags.writeable = False
+        object.__setattr__(self, "num_qubits", n)
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -113,14 +124,14 @@ class MixedState:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = self.num_qubits
-        _check_qubit_count(m, MAX_MIXED_QUBITS)
+        m = _check_qubit_count(self.num_qubits, MAX_MIXED_QUBITS)
         mat = np.ascontiguousarray(self.matrix, dtype=np.complex128)
         dim = 2**m
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got {mat.shape}")
         mat = _check_density(mat[None])[0]
         mat.flags.writeable = False
+        object.__setattr__(self, "num_qubits", m)
         object.__setattr__(self, "matrix", mat)
 
     @property
@@ -133,7 +144,7 @@ class MixedState:
 # ---------------------------------------------------------------------------
 
 def pure_from_amplitudes(n, amps, renormalize=False):
-    _check_qubit_count(n)
+    n = _check_qubit_count(n)
     amps = np.asarray(amps, dtype=np.complex128)
     if amps.shape != (2**n,):
         raise ValueError(f"expected {2**n} amplitudes for n={n}, got shape {amps.shape}")
@@ -209,23 +220,19 @@ def _hash_constants(init, mult, steps):
 _STATE_CONSTANTS = _hash_constants(*_HASH_STATE, 2 * _POOL_SIZE)
 
 
-@cache
-def _mix_plan(words):
-    """The hash constants SeedSequence.mix_entropy uses on ``words`` >= 4 seed
-    words: the pool fill, then per round the source and one constant pair for
-    each of the 4 destinations (an all-pairs round leaves its source as is)."""
-    xor, mult = _hash_constants(*_HASH_POOL, _POOL_SIZE * words)
-    fill = (xor[:_POOL_SIZE], mult[:_POOL_SIZE])
-    rounds = []
-    step = _POOL_SIZE
-    for src in range(_POOL_SIZE):  # each pool word into the three others
-        at = [step + d - (d > src) if d != src else step for d in range(_POOL_SIZE)]
-        rounds.append((src, xor[at], mult[at]))
-        step += 3
-    for src in range(_POOL_SIZE, words):  # each further seed word into all four
-        rounds.append((src, xor[step:step + 4], mult[step:step + 4]))
-        step += 4
-    return fill, rounds
+def _pool_rounds():
+    """The hash constants SeedSequence.mix_entropy uses on 4 seed words: the
+    pool fill, then per all-pairs round one (xor, multiplier) for each of the
+    4 destinations; a round leaves its source as is, so the pair at the
+    source is unused."""
+    xor, mult = _hash_constants(*_HASH_POOL, _POOL_SIZE * _POOL_SIZE)
+    src = np.arange(_POOL_SIZE)[:, None]
+    dst = np.arange(_POOL_SIZE)
+    at = _POOL_SIZE + 3 * src + dst - (dst >= src)  # (round, destination)
+    return (xor[:_POOL_SIZE], mult[:_POOL_SIZE]), list(zip(xor[at], mult[at]))
+
+
+_POOL_FILL, _POOL_ROUNDS = _pool_rounds()
 
 
 def _hashmix(values, xor, mult):
@@ -236,19 +243,16 @@ def _hashmix(values, xor, mult):
 
 
 def _pcg_seeds(words):
-    """PCG64 (state, inc) of ``default_rng`` for each row of a (G, W >= 4)
-    uint32 array of seed words (least significant first, zero-padded)."""
-    fill, rounds = _mix_plan(words.shape[1])
-    pool = _hashmix(words[:, :_POOL_SIZE], *fill)
-    for src, xor, mult in rounds:
-        source = pool if src < _POOL_SIZE else words
-        hashed = _hashmix(source[:, src:src + 1], xor, mult)
+    """PCG64 (state, inc) of ``default_rng`` for each row of a (G, 4) uint32
+    array of seed words (least significant first, zero-padded)."""
+    pool = _hashmix(words, *_POOL_FILL)
+    for src, (xor, mult) in enumerate(_POOL_ROUNDS):
+        hashed = _hashmix(pool[:, src:src + 1], xor, mult)
         hashed *= _MIX_R
         mixed = pool * _MIX_L
         mixed -= hashed
         mixed ^= mixed >> _XSHIFT
-        if src < _POOL_SIZE:
-            mixed[:, src] = pool[:, src]
+        mixed[:, src] = pool[:, src]
         pool = mixed
     # SeedSequence.generate_state(4, np.uint64): the pool cycled into 8 words
     state = _hashmix(np.concatenate((pool, pool), axis=1), *_STATE_CONSTANTS)
@@ -262,20 +266,13 @@ def _pcg_seeds(words):
 
 
 def _pcg_generators(seeds):
-    """Yield one Generator per non-negative int seed, in ``default_rng(seed)``'s
+    """Yield one Generator per int seed in [0, 2^128), in ``default_rng(seed)``'s
     starting state.  It is one Generator, reseeded: draw before advancing."""
-    by_words = {}  # seeds of up to 4 words hash as 4, zero-padded
-    for i, seed in enumerate(seeds):
-        by_words.setdefault(max(_POOL_SIZE, -(-seed.bit_length() // 32)), []).append(i)
-    seeded = [None] * len(seeds)
-    for words, at in by_words.items():
-        raw = b"".join(seeds[i].to_bytes(4 * words, "little") for i in at)
-        rows = np.frombuffer(raw, dtype="<u4").reshape(len(at), words)
-        for i, pair in zip(at, _pcg_seeds(rows)):
-            seeded[i] = pair
+    raw = b"".join(seed.to_bytes(4 * _POOL_SIZE, "little") for seed in seeds)
+    words = np.frombuffer(raw, dtype="<u4").reshape(len(seeds), _POOL_SIZE)
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
-    for state, inc in seeded:
+    for state, inc in _pcg_seeds(words):
         bit_generator.state = {
             "bit_generator": "PCG64",
             "state": {"state": state, "inc": inc},
@@ -288,8 +285,8 @@ def _pcg_generators(seeds):
 @cache
 def _batch_seeding_matches():
     """Whether the batch route draws what default_rng draws, on seeds of 1, 2
-    and 5 words; checked once per process."""
-    seeds = [0, 2**32 + 7, 2**130 + 11]
+    and 4 words; checked once per process."""
+    seeds = [0, 2**32 + 7, 2**96 + 11]
     try:
         draws = [rng.standard_normal(4) for rng in _pcg_generators(seeds)]
     except (KeyError, TypeError, ValueError):  # a PCG64 whose state layout changed
@@ -304,7 +301,9 @@ def _seeded_generators(seeds):
     """For each seed in turn, a Generator that draws what
     ``np.random.default_rng(seed)`` draws; draw from it before taking the next."""
     seeds = list(seeds)
-    batch = len(seeds) > 1 and all(isinstance(s, (int, np.integer)) and s >= 0 for s in seeds)
+    batch = len(seeds) > 1 and all(  # seeds of 128 bits or fewer hash as one 4-word pool
+        isinstance(s, (int, np.integer)) and 0 <= s <= _MASK128 for s in seeds
+    )
     if batch and _batch_seeding_matches():
         yield from _pcg_generators([int(s) for s in seeds])
     else:  # numpy's own route, and numpy's own errors for a bad seed
@@ -320,7 +319,7 @@ def random_pure(n, seed):
 def random_pure_stack(n, seeds):
     """Amplitudes of ``random_pure(n, seed)`` for each seed, as rows of a
     (len(seeds), 2^n) array, checked like a PureState but not wrapped in one."""
-    _check_qubit_count(n)
+    n = _check_qubit_count(n)
     draws = np.empty((len(seeds), 2, 2**n))
     for row, rng in zip(draws, _seeded_generators(seeds)):
         rng.standard_normal(out=row)  # the real parts, then the imaginary parts
@@ -343,7 +342,7 @@ def random_mixed_stack(m, ranks, seeds):
     (len(seeds), 2^m, 2^m) stack, checked like a MixedState but not wrapped
     in one.  Each state has its own generator and its own block @ block^H;
     the stack is validated once."""
-    _check_qubit_count(m, MAX_MIXED_QUBITS)
+    m = _check_qubit_count(m, MAX_MIXED_QUBITS)
     if len(ranks) != len(seeds):
         raise ValueError(f"{len(ranks)} ranks for {len(seeds)} seeds")
     dim = 2**m

@@ -1,3 +1,4 @@
+import json
 import re
 from itertools import combinations
 from pathlib import Path
@@ -414,14 +415,18 @@ class TestRegistryRows:
             check("eq1b", mq.random_mixed(2, 1, 0))
 
     # a bad case raises the same ValueError through check as through the public
-    # checker, never an IndexError or a report
-    @pytest.mark.parametrize("k", [0, -1, 5])
+    # checker, never an IndexError, a TypeError or a report; a qubit is an
+    # integer, and a bool is not one
+    @pytest.mark.parametrize("k", [0, -1, 5, 1.5, 2.0, True, "2", None])
     def test_bad_qubit(self, k, w4):
         for call in (lambda: check("eq14", w4, k=k), lambda: mq.residual_single_partition(w4, k)):
             with pytest.raises(ValueError, match=rf"^qubit {k} outside 1\.\.4$"):
                 call()
 
-    @pytest.mark.parametrize("pair", [(1, 1), (0, 2), (3, 5), (1, 2, 3), ()])
+    @pytest.mark.parametrize(
+        "pair",
+        [(1, 1), (0, 2), (3, 5), (1, 2, 3), (), (1.0, 2.0), [1, 2.5], "12", (True, 2), (1, None)],
+    )
     def test_bad_pair(self, pair, w4):
         errors = []
         calls = (lambda: check("eq20", w4, pair=pair), lambda: mq.residual_pair_partition(w4, pair))
@@ -430,6 +435,19 @@ class TestRegistryRows:
                 call()
             errors.append(str(err.value))
         assert errors[0] == errors[1]
+
+    def test_numpy_integer_qubits_are_reported_as_int(self, w4):
+        for name, case, plain in (
+            ("eq14", {"k": np.int64(2)}, {"k": 2}),
+            ("eq20", {"pair": np.array([3, 1], dtype=np.uint8)}, {"pair": [1, 3]}),
+        ):
+            rep = check(name, w4, **case)
+            assert rep == check(name, w4, **plain)
+            for key, value in plain.items():
+                assert rep.context[key] == value
+                assert type(rep.context[key]) is type(value)
+            json.dumps(rep.to_json_obj())
+        assert type(mq.residual_single_partition(w4, np.int8(4)).context["k"]) is int
 
     def test_unsorted_pair_is_sorted(self, w4):
         rep = check("eq20", w4, pair=(3, 1))

@@ -94,6 +94,36 @@ class TestRandomPure:
             mq.random_pure(15, 0)
 
 
+class TestQubitCount:
+    # a bool or non-integral count would reach the JSON text or the chunk arithmetic
+    @pytest.mark.parametrize("n", [True, 2.0, 3.0, "3", None])
+    def test_non_integer_count_rejected(self, n):
+        calls = (
+            lambda: mq.random_pure(n, 0),
+            lambda: PureState(n, np.eye(1, 8, dtype=np.complex128)[0]),
+            lambda: mq.pure_from_amplitudes(n, np.eye(1, 4)[0]),
+            lambda: MixedState(n, np.eye(2) / 2),
+            lambda: mq.random_mixed(n, 1, 0),
+            lambda: mq.fuzz(["eq1b"], n, 2, 0),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="^qubit count must be an integer, got "):
+                call()
+
+    def test_numpy_integer_count_stored_as_int(self):
+        psi = mq.random_pure(np.int64(3), 0)
+        assert type(psi.num_qubits) is int
+        text = mq.state_to_json(psi)
+        assert text.startswith('{"kind":"pure","n":3,')
+        back = mq.state_from_json(text)
+        assert back.num_qubits == 3 and np.array_equal(back.amplitudes, psi.amplitudes)
+        rho = MixedState(np.uint8(1), np.eye(2) / 2)
+        assert type(rho.num_qubits) is int
+        assert mq.state_from_json(mq.state_to_json(rho)).num_qubits == 1
+        summary = mq.fuzz(["eq1b"], np.int32(3), 2, 0)[0]
+        assert type(summary["n"]) is int and type(summary["worst_state"].num_qubits) is int
+
+
 class TestRandomMixed:
     def test_rank_one_is_pure(self):
         rho = mq.random_mixed(2, 1, 7)
@@ -141,8 +171,27 @@ class TestRandomMixed:
             assert mat.tobytes() == _reference_mixed(m, rank, seed).tobytes()
 
 
-# seeds of 1, 1, 2, 3, 4, 5 and 7 32-bit entropy words
-SEED_WORDS = [0, 2**32 - 1, 2**32, 2**64, 2**96 + 5, 2**128 + 3, 2**200]
+# seeds of 1, 1, 2, 3 and 4 32-bit entropy words take the batch route; seeds
+# of 5 and 7 words take default_rng
+BATCH_SEEDS = [0, 2**32 - 1, 2**32, 2**64, 2**96 + 5]
+WIDE_SEEDS = [2**128 + 3, 2**200]
+SEED_WORDS = BATCH_SEEDS + WIDE_SEEDS
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("seeds took the wrong route")
+
+
+def _on_its_route(draw, seeds):
+    """``draw(seeds)`` with the route these seeds must not take patched to
+    raise: ``default_rng`` when every seed is below 2^128, else the batch route."""
+    assert statekit._batch_seeding_matches()  # cached before numpy is patched
+    with pytest.MonkeyPatch.context() as patch:
+        if max(seeds) < 2**128:
+            patch.setattr(np.random, "default_rng", _forbidden)
+        else:
+            patch.setattr(statekit, "_pcg_generators", _forbidden)
+        return draw(seeds)
 
 
 def _reference_pure(n, seed):
@@ -172,30 +221,33 @@ class TestBatchSeeding:
 
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_pure_rows_match_default_rng(self, n):
-        stack = statekit.random_pure_stack(n, SEED_WORDS)
-        for seed, row in zip(SEED_WORDS, stack):
-            assert np.array_equal(row, _reference_pure(n, seed))
+        for seeds in (BATCH_SEEDS, WIDE_SEEDS):
+            stack = _on_its_route(lambda s: statekit.random_pure_stack(n, s), seeds)
+            for seed, row in zip(seeds, stack):
+                assert np.array_equal(row, _reference_pure(n, seed))
 
     def test_word_counts_share_a_stack(self):
-        seeds = [2**32 - 2, 2**32 + 1, 2**32 - 1, 2**32, 2**130, 3]
-        stack = statekit.random_pure_stack(3, seeds)
+        # one seed of 2^128 or more sends the whole chunk to default_rng
+        seeds = [2**96 + 1, 2**128 - 1, 2**128, 2**130, 3, 2**32]
+        stack = _on_its_route(lambda s: statekit.random_pure_stack(3, s), seeds)
         for seed, row in zip(seeds, stack):
             assert np.array_equal(row, _reference_pure(3, seed))
 
     def test_numpy_integer_seeds(self):
         seeds = [np.int64(5), np.uint32(2**32 - 1), np.uint64(2**64 - 1), np.int8(3), True]
-        stack = statekit.random_pure_stack(2, seeds)
+        stack = _on_its_route(lambda s: statekit.random_pure_stack(2, s), seeds)
         for seed, row in zip(seeds, stack):
             assert np.array_equal(row, _reference_pure(2, seed))
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_mixed_matches_default_rng(self, m):
-        ranks = [(i % 2**m) + 1 for i in range(len(SEED_WORDS))]
-        stack = statekit.random_mixed_stack(m, ranks, SEED_WORDS)
-        for rank, seed, matrix in zip(ranks, SEED_WORDS, stack):
-            ref = _reference_mixed(m, rank, seed)
-            assert np.array_equal(matrix, ref)
-            assert np.array_equal(mq.random_mixed(m, rank, seed).matrix, ref)
+        for seeds in (BATCH_SEEDS, WIDE_SEEDS):
+            ranks = [(i % 2**m) + 1 for i in range(len(seeds))]
+            stack = _on_its_route(lambda s: statekit.random_mixed_stack(m, ranks, s), seeds)
+            for rank, seed, matrix in zip(ranks, seeds, stack):
+                ref = _reference_mixed(m, rank, seed)
+                assert np.array_equal(matrix, ref)
+                assert np.array_equal(mq.random_mixed(m, rank, seed).matrix, ref)
 
     def test_fuzz_across_chunks_is_unchanged(self):
         # 1,100 trials at n = 4 are chunks of 512, 512 and 76 states; the worst
@@ -237,15 +289,9 @@ class TestBatchSeeding:
         rho = mq.random_mixed(2, 3, 2**64)
         assert np.array_equal(rho.matrix, _reference_mixed(2, 3, 2**64))
 
-    def test_batch_route_is_taken_on_this_numpy(self, monkeypatch):
-        assert statekit._batch_seeding_matches()  # cached before numpy is patched
-
-        def forbidden(seed=None):
-            raise AssertionError("default_rng called on the batch route")
-
-        monkeypatch.setattr(np.random, "default_rng", forbidden)
-        statekit.random_pure_stack(3, [0, 2**32, 2**200])
-        statekit.random_mixed_stack(2, [2, 1], [7, 8])
+    def test_batch_route_is_taken_on_this_numpy(self):
+        _on_its_route(lambda s: statekit.random_pure_stack(3, s), [0, 2**32, 2**128 - 1])
+        _on_its_route(lambda s: statekit.random_mixed_stack(2, [2, 1], s), [7, 8])
 
     @pytest.mark.parametrize("seed", SEED_WORDS)
     def test_one_seed_takes_default_rng(self, seed, monkeypatch):
