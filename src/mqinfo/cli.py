@@ -36,6 +36,7 @@ from .measures import (
     concurrence_sq_2q,
     n_tangle,
 )
+from .reduction import _purity_workers
 from .statekit import (
     MAX_MIXED_QUBITS,
     MixedState,
@@ -285,7 +286,11 @@ def cmd_bench(args):
     t0 = time.perf_counter()
     fast = all_infos_fast(psi)
     t_fast = time.perf_counter() - t0
-    lines = [f"fast route        n={args.n}: {t_fast * 1e3:.2f} ms"]
+    workers = _purity_workers(psi.num_qubits)
+    lines = [
+        f"fast route        n={args.n}: {t_fast * 1e3:.2f} ms, "
+        f"purity pass on {workers} worker{'s' if workers > 1 else ''}"
+    ]
     code = 0
     if args.n <= MAX_MIXED_QUBITS:
         t0 = time.perf_counter()

@@ -482,6 +482,9 @@ def fuzz(names, n, trials, base_seed, tol=EQ_TOL, rank=None):
     idents = [_identity(name, n) for name in names]
     if len({ident.kind for ident in idents}) != 1:
         raise ValueError(f"fuzz needs identities of one kind, got {names!r}")
+    if not _is_integer(trials):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    trials = int(trials)
     # more trials than MAX_TRIALS would reuse the next base seed's states
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")

@@ -5,11 +5,24 @@ partial trace contracts amplitudes directly (never forms the full density
 matrix), and the all-subset purity pass derives small reduced matrices from
 larger ones, which is what makes the fast path cheap.  The pass takes a
 stack of states, one per row, and up to n = 8 runs several states through
-each batch together.  ``partial_trace``, ``purity``, ``spin_flip`` and
+each batch together.  From n = 11 up, where a batch's grams come to 2^21
+complex multiply-adds or more, the batches run on several workers: the
+calling thread, and threads started and joined within the call, each kept
+to a CPU of its own.  There are as many as the CPUs the process may run on
+divided by the threads BLAS runs a product on, so under OpenBLAS's default
+of a thread per CPU the pass stays on the calling thread.  On a 2-CPU x86
+host with one BLAS thread two workers ran the pass 1.3x faster at n = 11
+and 1.5-1.9x at n = 12-14 (``BENCH_20.json``); n = 10, at 1.1x, stays on
+one worker with every smaller n, so a pass of a few milliseconds or less
+starts no thread.  ``partial_trace``, ``purity``, ``spin_flip`` and
 ``tilde_overlap`` on density matrices are no part of any check: they are
 the tests' oracle for the purities and overlaps of the Pauli-spectrum route.
 """
 
+import contextlib
+import ctypes
+import os
+import threading
 from functools import cache
 from itertools import combinations
 
@@ -79,6 +92,9 @@ def subset_purity(psi, keep):
 _BATCH_AMPLITUDES = 1 << 13
 # (top, state) gram entries per batch, which the traces and purity sums share
 _TRACE_ENTRIES = 1 << 15
+# complex multiply-adds of one batch's grams from which the batches are
+# spread over the CPUs (n >= 11); a smaller batch is too short a share
+_SPREAD_MACS = 1 << 21
 
 
 def _leading_run(axes):
@@ -108,8 +124,10 @@ def _purity_plan(n):
     where one state's tops all fit, one batch holds them and ``stack``
     states share it (3 at n = 8), no more than keep one top's blocks within
     ``_BATCH_AMPLITUDES``; otherwise ``stack`` is 1 (8 tops a batch at
-    n = 12).  Each batch is (rows, cols, levels); ``rows | cols`` indexes
-    the amplitudes into its tops' Schmidt blocks.
+    n = 12).  Each batch is (rows, cols, levels, offset); ``rows | cols``
+    indexes the amplitudes into its tops' Schmidt blocks, and ``offset``
+    counts the subsets of the batches before it, so a batch's purity sums
+    are its own slice of a pass's.
     ``levels`` holds, per smaller subset size, (count, dim, groups); a group
     (parents, lo, hi) traces qubit q out of the first ``parents`` > 0
     matrices of the level above, lo = 2^(q-1) and hi being the dimensions
@@ -144,11 +162,80 @@ def _purity_plan(n):
                 break
             levels.append((len(level), 1 << (k - 1), [g for g in groups if g[0]]))
             subsets = subsets + level
+        batches.append((rows[start : start + step], cols[start : start + step], levels, len(masks)))
         masks += [sum(1 << a for a in s) for s in subsets]
-        batches.append((rows[start : start + step], cols[start : start + step], levels))
         size = len(batches[-1][0]) << 2 * half
         entries = max(entries, size + sum(count * dim * dim for count, dim, _ in levels))
     return batches, np.array(masks, dtype=np.intp), stack, entries
+
+
+@cache
+def _blas_thread_query():
+    """OpenBLAS's thread-count function, found through numpy's core module,
+    or None where numpy's BLAS cannot be asked."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    names = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads")
+    query = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
+    if query is not None:
+        query.argtypes, query.restype = [], ctypes.c_int
+    return query
+
+
+def _blas_threads():
+    """Threads numpy's BLAS runs one product on; 1 where it cannot be asked."""
+    query = _blas_thread_query()
+    return max(1, query()) if query else 1
+
+
+def _purity_workers(n):
+    """Workers ``pure_subset_purities`` runs n-qubit batches on: 1 where a
+    batch's grams come to fewer than ``_SPREAD_MACS`` complex multiply-adds,
+    else the CPUs this process may run on, shared with the threads BLAS
+    runs each gram on, and at most the plan's batches."""
+    batches, _, stack, _ = _purity_plan(n)
+    if len(batches) < 2 or stack * len(batches[0][0]) << n + n // 2 < _SPREAD_MACS:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(len(batches), cpus // _blas_threads()))
+
+
+def _on_workers(run, workers):
+    """run(w) for w = 0, ..., workers - 1: w = 0 on the calling thread, each
+    other on a thread joined before this returns; the first exception any
+    of them raised is raised here.
+
+    Thread w keeps to the w-th CPU (mod their count) of the caller's, where
+    the platform lets it.  Left free, the scheduler kept a worker on the
+    caller's CPU, as the two hand the interpreter lock back and forth, and
+    two workers ran no faster than one.
+    """
+    cpus = sorted(os.sched_getaffinity(0)) if workers > 1 and hasattr(os, "sched_setaffinity") else []
+    errors = []
+
+    def guarded(w):
+        try:
+            if cpus:
+                with contextlib.suppress(OSError):  # a CPU that went away: run unpinned
+                    os.sched_setaffinity(0, {cpus[w % len(cpus)]})
+            run(w)
+        except BaseException as exc:
+            errors.append(exc)
+
+    started = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=guarded, args=(w,))
+            thread.start()
+            started.append(thread)
+        run(0)
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def pure_subset_purities(amps):
@@ -170,9 +257,12 @@ def pure_subset_purities(amps):
     The states go through the batches of ``_purity_plan(n)`` in passes of
     at most ``stack`` states, whose sizes differ by at most one.  A gram
     call multiplies as many (top, state) blocks as fit ``_BATCH_AMPLITUDES``
-    amplitudes.  The grams, the traced matrices and the purity sums are
-    views into one workspace allocated once per call.  Every row equals
-    the one-state result bit for bit.
+    amplitudes.  Batch i runs on worker i mod W, W being
+    ``_purity_workers(n)`` (1 below n = 11); worker 0 is the calling
+    thread.  Each worker's grams and traced matrices are views into its own
+    region of one workspace allocated once per call, and each batch writes
+    the purity sums of its own slice.  Every row equals the one-state
+    result bit for bit, whatever W.
     """
     count, dim = amps.shape
     n = dim.bit_length() - 1
@@ -184,41 +274,49 @@ def pure_subset_purities(amps):
     if not batches or not count:  # no states, or one qubit: only the empty and the full set
         return purities
     passes = -(-count // stack)
-    most = -(-count // passes)
-    work = np.empty(most * (2 * entries + len(masks)))
-    mats_work, sums = work[: 2 * most * entries].view(np.complex128), work[2 * most * entries :]
+    bounds = [count * p // passes for p in range(passes + 1)]
+    region = 2 * -(-count // passes) * entries
+    workers = _purity_workers(n)
+    work = np.empty(workers * region + count * len(masks))
+    sums = work[workers * region :]
     width = 1 << n // 2
-    for p in range(passes):
-        start, end = count * p // passes, count * (p + 1) // passes
-        states, b = amps[start:end], end - start
-        gram = max(1, (_BATCH_AMPLITUDES >> n) // b)
-        at = 0
-        for rows, cols, levels in batches:
-            grams = mats_work[: len(rows) * b * width * width].reshape(-1, width, width)
-            for top in range(0, len(rows), gram):
-                # blocks ordered (top, state), so a level's leading subsets
-                # are one slice for every state; no copy for a single state
-                blocks = np.take(states, rows[top : top + gram] | cols[top : top + gram], axis=1).swapaxes(0, 1)
-                blocks = np.ascontiguousarray(blocks).reshape(-1, *blocks.shape[2:])
-                np.matmul(blocks, blocks.conj().transpose(0, 2, 1), out=grams[top * b : top * b + len(blocks)])
-                del blocks  # freed before the next gather and the traces
-            mats, used = [grams], grams.size
-            for subsets, side, groups in levels:
-                parent = mats[-1]
-                kids = mats_work[used : used + subsets * b * side * side].reshape(-1, side, side)
-                used += kids.size
-                kid = 0
-                for parents, lo, hi in groups:
-                    t = parent[: parents * b].reshape(parents * b, lo, 2, hi, lo, 2, hi)
-                    out = kids[kid : kid + parents * b].reshape(parents * b, lo, hi, lo, hi)
-                    np.add(t[:, :, 0, :, :, 0], t[:, :, 1, :, :, 1], out=out)
-                    kid += parents * b
-                mats.append(kids)
-            for m in mats:
-                f = m.reshape(len(m), -1).view(np.float64)
-                np.vecdot(f, f, out=sums[at : at + len(m)])
-                at += len(m)
-        purities[start:end, masks] = purities[start:end, full ^ masks] = sums[:at].reshape(-1, b).T
+
+    def run(w):
+        mats_work = work[w * region : (w + 1) * region].view(np.complex128)
+        for start, end in zip(bounds, bounds[1:]):
+            states, b = amps[start:end], end - start
+            gram = max(1, (_BATCH_AMPLITUDES >> n) // b)
+            for rows, cols, levels, offset in batches[w::workers]:
+                grams = mats_work[: len(rows) * b * width * width].reshape(-1, width, width)
+                for top in range(0, len(rows), gram):
+                    # blocks ordered (top, state), so a level's leading subsets
+                    # are one slice for every state; no copy for a single state
+                    blocks = np.take(states, rows[top : top + gram] | cols[top : top + gram], axis=1).swapaxes(0, 1)
+                    blocks = np.ascontiguousarray(blocks).reshape(-1, *blocks.shape[2:])
+                    np.matmul(blocks, blocks.conj().transpose(0, 2, 1), out=grams[top * b : top * b + len(blocks)])
+                    del blocks  # freed before the next gather and the traces
+                mats, used = [grams], grams.size
+                for subsets, side, groups in levels:
+                    parent = mats[-1]
+                    kids = mats_work[used : used + subsets * b * side * side].reshape(-1, side, side)
+                    used += kids.size
+                    kid = 0
+                    for parents, lo, hi in groups:
+                        t = parent[: parents * b].reshape(parents * b, lo, 2, hi, lo, 2, hi)
+                        out = kids[kid : kid + parents * b].reshape(parents * b, lo, hi, lo, hi)
+                        np.add(t[:, :, 0, :, :, 0], t[:, :, 1, :, :, 1], out=out)
+                        kid += parents * b
+                    mats.append(kids)
+                at = start * len(masks) + offset * b
+                for m in mats:
+                    f = m.reshape(len(m), -1).view(np.float64)
+                    np.vecdot(f, f, out=sums[at : at + len(m)])
+                    at += len(m)
+
+    _on_workers(run, workers)
+    for start, end in zip(bounds, bounds[1:]):
+        found = sums[start * len(masks) : end * len(masks)].reshape(-1, end - start).T
+        purities[start:end, masks] = purities[start:end, full ^ masks] = found
     return purities
 
 

@@ -347,6 +347,8 @@ def random_mixed_stack(m, ranks, seeds):
         raise ValueError(f"{len(ranks)} ranks for {len(seeds)} seeds")
     dim = 2**m
     for rank in ranks:
+        if not _is_integer(rank):
+            raise ValueError(f"rank must be an integer, got {rank!r}")
         if not (1 <= rank <= dim):
             raise ValueError(f"rank {rank} outside [1, {dim}]")
     stack = np.empty((len(seeds), dim, dim), dtype=np.complex128)

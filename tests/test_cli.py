@@ -717,6 +717,11 @@ class TestBench:
         out = capsys.readouterr().out
         assert "fast route" in out and "enumeration route" in out
 
+    def test_prints_purity_workers(self, capsys):
+        assert main(["bench", "--n", "4"]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert re.fullmatch(r"fast route {8}n=4: \d+\.\d\d ms, purity pass on 1 worker", first)
+
     def test_degenerate_single_qubit(self, capsys):
         assert main(["bench", "--n", "1"]) == 0
 

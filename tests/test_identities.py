@@ -550,6 +550,21 @@ class TestFuzzDriver:
         with pytest.raises(ValueError, match="trials"):
             mq.fuzz(["eq24"], 2, trials, 0)
 
+    @pytest.mark.parametrize("trials", [2.0, 1.5, True, "3", None])
+    def test_non_integer_trial_count_rejected(self, trials):
+        message = rf"^trials must be an integer, got {re.escape(repr(trials))}$"
+        with pytest.raises(ValueError, match=message):
+            mq.fuzz(["eq1b"], 3, trials, 0)
+        with pytest.raises(ValueError, match=message):
+            mq.fuzz(["eq24"], 2, trials, 0)
+
+    def test_numpy_integer_trial_count_is_reported_as_int(self):
+        [summary] = mq.fuzz(["eq1b"], 3, np.int64(4), 0)
+        assert type(summary["trials"]) is int
+        [plain] = mq.fuzz(["eq1b"], 3, 4, 0)
+        assert np.array_equal(summary.pop("worst_state").amplitudes, plain.pop("worst_state").amplitudes)
+        assert summary == plain
+
     def test_seeds_distinct_up_to_max_trials(self):
         assert derive_seed(0, MAX_TRIALS - 1) < derive_seed(1, 0)
 

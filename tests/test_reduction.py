@@ -1,3 +1,12 @@
+import ctypes
+import functools
+import inspect
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -91,10 +100,15 @@ class TestPurityPlan:
         # states share batches only whole
         gram = 1 << 2 * (n // 2)
         assert stack == 1 or len(batches) <= 1
-        for rows, cols, levels in batches:
+        offset = 0
+        for rows, cols, levels, at in batches:
             assert stack * len(rows) * gram <= reduction._TRACE_ENTRIES
             assert len(rows) * gram + sum(c * d * d for c, d, _ in levels) <= entries
             assert all(parents > 0 for _, _, groups in levels for parents, _, _ in groups)
+            # each batch's purity sums start where the last batch's end
+            assert at == offset
+            offset += len(rows) + sum(c for c, _, _ in levels)
+        assert offset == len(masks)
         # each gram call of a full pass stays within the amplitude budget
         # unless one block alone exceeds it
         calls = []
@@ -106,7 +120,7 @@ class TestPurityPlan:
 
         monkeypatch.setattr(reduction.np, "matmul", counted)
         pure_subset_purities(random_pure_stack(n, range(stack)))
-        assert sum(calls) == stack * sum(len(rows) for rows, _, _ in batches)
+        assert sum(calls) == stack * sum(len(rows) for rows, *_ in batches)
         assert all(blocks << n <= max(reduction._BATCH_AMPLITUDES, 1 << n) for blocks in calls)
 
     @pytest.mark.parametrize(
@@ -118,12 +132,15 @@ class TestPurityPlan:
         batches, _, plan_stack, _ = reduction._purity_plan(n)
         assert (len(batches[0][0]), plan_stack) == (tops, stack)
 
-    @pytest.mark.parametrize(("n", "count"), [(8, 10), (12, 1)])
-    def test_one_workspace_per_call(self, n, count):
+    @pytest.mark.parametrize(("n", "count"), [(8, 10), (12, 1), (12, 2)])
+    def test_one_workspace_per_call(self, n, count, monkeypatch):
         import tracemalloc
 
+        _use_cpus(monkeypatch, 3)
         amps = random_pure_stack(n, range(count))
         batches, masks, stack, entries = reduction._purity_plan(n)
+        workers = 3 if n >= 11 else 1
+        assert reduction._purity_workers(n) == workers
         pure_subset_purities(amps)
         tracemalloc.start()
         try:
@@ -131,13 +148,14 @@ class TestPurityPlan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the workspace holds the largest batch's matrices and the purity
-        # sums of the largest pass; a gather holds one gram call's blocks,
-        # and 8 KB covers Python objects and array headers
+        # the workspace holds, per worker, the largest batch's matrices for
+        # the largest pass, and the purity sums of every state; each worker
+        # holds one gram call's gathered blocks at a time, and 8 KB a worker
+        # covers Python objects, array headers and the thread
         most = -(-count // -(-count // stack))
-        workspace = most * (2 * entries + len(masks)) * 8
+        workspace = (workers * most * 2 * entries + count * len(masks)) * 8
         gather = max(reduction._BATCH_AMPLITUDES, 1 << n) * 16
-        assert peak <= workspace + 2 * gather + (count << n) * 8 + 8192
+        assert peak <= workspace + workers * (2 * gather + 8192) + (count << n) * 8
 
     @pytest.mark.parametrize("n", [11, 12, 13])
     def test_matches_per_subset_gram(self, n):
@@ -149,6 +167,187 @@ class TestPurityPlan:
                 keep = sorted(rng.choice(n, size=k, replace=False) + 1)
                 mask = sum(1 << (q - 1) for q in keep)
                 assert abs(purities[mask] - subset_purity(psi, keep)) <= 1e-12
+
+
+def _use_cpus(monkeypatch, cpus, blas_threads=1):
+    """Make the process look as if it may run on ``cpus`` CPUs, with BLAS
+    running each product on ``blas_threads`` threads."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(reduction, "_blas_threads", lambda: blas_threads)
+
+
+@pytest.fixture
+def one_blas_thread():
+    """numpy's OpenBLAS on one thread for the test, where it can be set:
+    two BLAS threads beside the workers make large passes slow."""
+    query = reduction._blas_thread_query()
+    if query is None:
+        yield
+        return
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    setter = getattr(lib, query.__name__.replace("_get_", "_set_"))
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    before = query()
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(before)
+
+
+class TestParallelPass:
+    @pytest.mark.parametrize("n", [11, 12, 13, 14])
+    def test_rows_bit_identical_for_any_worker_count(self, n, monkeypatch, one_blas_thread):
+        pair = random_pure_stack(n, [n, 100 + n])
+        _use_cpus(monkeypatch, 1)
+        assert reduction._purity_workers(n) == 1
+        want = pure_subset_purities(pair)
+        for cpus in (1, 2, 3):
+            _use_cpus(monkeypatch, cpus)
+            assert reduction._purity_workers(n) == cpus
+            assert pure_subset_purities(pair[:1]).tobytes() == want[:1].tobytes()
+            if cpus > 1:
+                assert pure_subset_purities(pair).tobytes() == want.tobytes()
+
+    def test_more_workers_than_cpus_under_fast_switching(self, monkeypatch):
+        # every batch writes its own slice of the sums; an overlap or a lost
+        # write would show as a changed row
+        pair = random_pure_stack(12, [5, 6])
+        _use_cpus(monkeypatch, 1)
+        want = pure_subset_purities(pair)
+        _use_cpus(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert pure_subset_purities(pair).tobytes() == want.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize(("n", "workers"), [(1, 1), (4, 1), (8, 1), (9, 1), (10, 1), (11, 2), (14, 2)])
+    def test_workers_from_n_11(self, n, workers, monkeypatch):
+        _use_cpus(monkeypatch, 2)
+        assert reduction._purity_workers(n) == workers
+        # at most one worker a batch
+        _use_cpus(monkeypatch, 1000)
+        assert reduction._purity_workers(n) == (len(reduction._purity_plan(n)[0]) if n >= 11 else 1)
+
+    @pytest.mark.parametrize(("cpus", "blas_threads", "workers"), [(2, 2, 1), (3, 2, 1), (4, 2, 2), (8, 3, 2)])
+    def test_workers_share_the_cpus_with_blas(self, cpus, blas_threads, workers, monkeypatch):
+        _use_cpus(monkeypatch, cpus, blas_threads)
+        assert reduction._purity_workers(12) == workers
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_blas_threads_are_asked(self, threads):
+        code = (
+            "from mqinfo import reduction\n"
+            "print(reduction._blas_thread_query() is not None, reduction._blas_threads())"
+        )
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(reduction.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        asked, got = out.stdout.split()
+        # a BLAS that cannot be asked counts as one thread
+        assert int(got) == (threads if asked == "True" else 1)
+
+    def _gram_threads(self, monkeypatch, fail_on=None):
+        """Record the thread of every gram call; raise on ``fail_on``'s."""
+        threads = []
+        matmul = np.matmul
+
+        def recorded(a, b, **kwargs):
+            threads.append(threading.current_thread())
+            if fail_on is not None and fail_on(threads[-1]):
+                raise RuntimeError("gram failed")
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(reduction.np, "matmul", recorded)
+        return threads
+
+    def test_batches_alternate_between_workers(self, monkeypatch):
+        _use_cpus(monkeypatch, 2)
+        threads = self._gram_threads(monkeypatch)
+        before = threading.active_count()
+        pure_subset_purities(random_pure_stack(12, [1]))
+        assert threading.active_count() == before
+        # two tops a gram call at n = 12, batch i on worker i mod 2
+        calls = [-(-len(rows) // 2) for rows, *_ in reduction._purity_plan(12)[0]]
+        assert len(threads) == sum(calls)
+        assert sum(t is threading.main_thread() for t in threads) == sum(calls[::2])
+        assert len(set(threads)) == 2
+
+    def test_each_worker_keeps_to_its_own_cpu(self, monkeypatch):
+        # the machine's own CPUs: worker w on the w-th, the caller left as it was
+        monkeypatch.setattr(reduction, "_blas_threads", lambda: 1)
+        caller = os.sched_getaffinity(0)
+        affinity = {}
+        matmul = np.matmul
+
+        def recorded(a, b, **kwargs):
+            affinity[threading.current_thread()] = os.sched_getaffinity(0)
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(reduction.np, "matmul", recorded)
+        pure_subset_purities(random_pure_stack(12, [1]))
+        assert os.sched_getaffinity(0) == caller
+        assert affinity.pop(threading.main_thread()) == caller
+        workers = reduction._purity_workers(12)
+        assert sorted(map(sorted, affinity.values())) == [[cpu] for cpu in sorted(caller)[1:workers]]
+
+    @pytest.mark.parametrize("where", ["worker", "caller", "everywhere"])
+    def test_failure_reaches_caller_and_threads_end(self, where, monkeypatch):
+        _use_cpus(monkeypatch, 3)
+        main = threading.main_thread()
+        fail_on = {
+            "worker": lambda t: t is not main,
+            "caller": lambda t: t is main,
+            "everywhere": lambda t: True,
+        }[where]
+        threads = self._gram_threads(monkeypatch, fail_on)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="gram failed"):
+            pure_subset_purities(random_pure_stack(12, [1]))
+        assert threading.active_count() == before
+        assert len(set(threads)) == 3
+
+    def test_public_functions_run_on_the_calling_thread(self, monkeypatch):
+        # a span tracer rebinds every public mqinfo function and keeps one
+        # span stack, so the workers must call numpy and private helpers only
+        import mqinfo.cli  # noqa: F401  (its public functions are wrapped too)
+
+        _use_cpus(monkeypatch, 2)
+        calls = []
+
+        def wrap(fn, name):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.current_thread()))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        wrappers = {}
+        modules = {name: mod for name, mod in sys.modules.items() if name.split(".")[0] == "mqinfo"}
+        for mod_name, module in modules.items():
+            for name, obj in list(vars(module).items()):
+                if getattr(obj, "__module__", None) != mod_name or name.startswith("_"):
+                    continue
+                if inspect.isclass(obj):
+                    for attr, val in list(vars(obj).items()):
+                        if inspect.isfunction(val) and (not attr.startswith("_") or attr == "__post_init__"):
+                            monkeypatch.setattr(obj, attr, wrap(val, f"{name}.{attr}"))
+                elif callable(obj):
+                    wrappers[id(obj)] = (obj, wrap(obj, name))
+        for module in modules.values():
+            for attr, val in list(vars(module).items()):
+                if id(val) in wrappers and wrappers[id(val)][0] is val:
+                    monkeypatch.setattr(module, attr, wrappers[id(val)][1])
+        threads = self._gram_threads(monkeypatch)
+        mq.all_infos_fast(mq.random_pure(12, 3))
+        names = {name for name, _ in calls}
+        assert {"random_pure", "all_infos_fast", "pure_subset_purities", "PureState.__post_init__"} <= names
+        assert all(thread is threading.main_thread() for _, thread in calls)
+        assert len(set(threads)) == 2
 
 
 class TestSpinFlip:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,18 @@ class TestRandomMixed:
     def test_invalid_rank(self):
         with pytest.raises(ValueError, match="rank"):
             mq.random_mixed(2, 5, 0)
+
+    @pytest.mark.parametrize("rank", [1.0, 2.5, True, "2", None])
+    def test_non_integer_rank_rejected(self, rank):
+        message = rf"^rank must be an integer, got {re.escape(repr(rank))}$"
+        with pytest.raises(ValueError, match=message):
+            mq.random_mixed(2, rank, 0)
+        with pytest.raises(ValueError, match=message):
+            statekit.random_mixed_stack(2, [1, rank], [0, 1])
+
+    def test_numpy_integer_rank(self):
+        rho = mq.random_mixed(2, np.int64(3), 9)
+        assert rho.matrix.tobytes() == mq.random_mixed(2, 3, 9).matrix.tobytes()
 
     @pytest.mark.parametrize("ranks, seeds", [([1, 2, 3], [5]), ([1], [5, 6, 7])])
     def test_ranks_and_seeds_must_pair_up(self, ranks, seeds):
