@@ -14,7 +14,10 @@ draws one seeded random state per trial, in chunks, one chunk path for both
 kinds: a chunk is an array, an amplitude stack (pure) or a matrix stack
 (mixed), its tables come from one ``info_values`` or ``spectrum_values``
 call, and ``_evaluate`` checks the whole chunk at once; only a summary's
-worst state is wrapped as a PureState or MixedState.  Checkers are pure
+worst state is wrapped as a PureState or MixedState, from its chunk's
+validated row and without validating it again.  Every chunk of a call is
+drawn from one ``_Draws``, so the call's seeds are hashed once a block, not
+once a chunk.  Checkers are pure
 functions and reject a negative, infinite or NaN tolerance, a case with
 other keys than the row's, a ``k`` outside 1..n, a bad ``pair`` and a table
 of another qubit count.
@@ -49,9 +52,9 @@ from .statekit import (
     MixedState,
     PureState,
     _check_qubit_count,
+    _Draws,
+    _from_validated,
     _is_integer,
-    random_mixed_stack,
-    random_pure_stack,
 )
 
 EQ_TOL = 1e-9
@@ -441,17 +444,18 @@ def derive_seed(base_seed, trial):
     return base_seed * MAX_TRIALS + trial
 
 
-def _chunk(idents, n, seeds, tol, ranks):
-    """The states of one chunk of trials, and per identity its ``_evaluate`` arrays.
+def _chunk(idents, n, draws, count, tol, ranks):
+    """The next ``count`` states of ``draws`` (a ``_Draws``), and per identity
+    its ``_evaluate`` arrays.
 
     The states are one array: an amplitude stack (``ranks`` None) or a
     stack of density matrices of the given ranks.
     """
     if ranks is None:
-        states = random_pure_stack(n, seeds)
+        states = draws.pure(n, count)
         arrays = (*info_values(states), states)
     else:
-        states = random_mixed_stack(n, ranks, seeds)
+        states = draws.mixed(n, ranks)
         arrays = spectrum_values(states)
     return states, [_evaluate(ident, arrays, ident.cases(n), tol) for ident in idents]
 
@@ -470,7 +474,7 @@ def fuzz(names, n, trials, base_seed, tol=EQ_TOL, rank=None):
     whole chunk at once.  A chunk's states are one array, an amplitude or
     matrix stack, the states of ``random_pure``/``random_mixed`` bit for
     bit, and only a summary's worst state is built as a PureState or
-    MixedState.
+    MixedState: a read-only copy of its validated row, not checked again.
 
     Each summary holds the largest violation ``max_residual`` (|residual|
     for an equality, max(0, lhs - rhs) for an inequality), the failure
@@ -499,26 +503,27 @@ def fuzz(names, n, trials, base_seed, tol=EQ_TOL, rank=None):
         for name in names
     ]
     worst = [None] * len(names)
+    draws = _Draws(derive_seed(base_seed, t) for t in range(trials))
     chunk = max(1, _BATCH_AMPLITUDES >> (n if pure else 2 * n))
     for start in range(0, trials, chunk):
-        seeds = [derive_seed(base_seed, t) for t in range(start, min(start + chunk, trials))]
+        count = min(chunk, trials - start)
         ranks = None if pure else [
-            rank if rank is not None else t % 2**n + 1 for t in range(start, start + len(seeds))
+            rank if rank is not None else t % 2**n + 1 for t in range(start, start + count)
         ]
-        states, results = _chunk(idents, n, seeds, tol, ranks)
+        states, results = _chunk(idents, n, draws, count, tol, ranks)
         for i, (s, (_, _, score, margin, failed, gate)) in enumerate(zip(summaries, results)):
             # argmax takes the first of equal scores: the first strict maximum wins
             at = int(np.argmax(score))
             if worst[i] is None or score.flat[at] > worst[i]:
                 worst[i] = score.flat[at]
                 row = at // score.shape[1]
-                s.update(worst_seed=seeds[row], worst_state=states[row], tolerance=gate)
+                s.update(worst_seed=derive_seed(base_seed, start + row), worst_state=states[row], tolerance=gate)
             s["max_residual"] = max(s["max_residual"], float(score.max()))
             s["failures"] += int(np.count_nonzero(failed))
             if margin is not None:
                 low = float(margin.min())
                 s["min_margin"] = low if s["min_margin"] is None else min(s["min_margin"], low)
     for s in summaries:
-        s["worst_state"] = (PureState if pure else MixedState)(n, s["worst_state"])
+        s["worst_state"] = _from_validated(PureState if pure else MixedState, n, s["worst_state"])
         s["passed"] = s["failures"] == 0
     return summaries

@@ -184,6 +184,20 @@ def _blas_thread_query():
     return query
 
 
+@cache
+def _blas_thread_setter():
+    """OpenBLAS's ``*_set_num_threads`` counterpart of ``_blas_thread_query``,
+    or None where numpy's BLAS cannot be asked."""
+    query = _blas_thread_query()
+    if query is None:
+        return None
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    setter = getattr(lib, query.__name__.replace("_get_", "_set_"), None)
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+    return setter
+
+
 def _blas_threads():
     """Threads numpy's BLAS runs one product on; 1 where it cannot be asked."""
     query = _blas_thread_query()

@@ -11,18 +11,31 @@ at least -PSD_TOL is rejected.
 Index convention: qubit 1 is the most significant bit of the basis index,
 so |q1 q2 ... qn> maps to the integer q1*2^(n-1) + ... + qn.
 
-Random states draw what ``np.random.default_rng(seed)`` draws.  A list of two
-or more integer seeds in [0, 2^128) is seeded in one batch: numpy's
-``SeedSequence`` hashes each such seed as one four-word entropy pool, and
-that hashing (pool fill, four all-pairs rounds, ``generate_state``) runs as
-uint32 array steps over every seed at once; PCG64's 128-bit seeding (inc = 2
-initseq + 1, state = (inc + initstate) M + inc) puts one PCG64 per call into
-each seed's state.  A lone seed, a list holding any other seed (negative,
-non-integer, or of 2^128 or more), and every list when a one-time check
-finds that the batch route differs from ``default_rng`` (a numpy whose
-seeding changed), go to ``default_rng`` itself.
+Random states draw what ``np.random.default_rng(seed)`` draws.  Seeds are
+read in blocks of up to ``_SEED_BLOCK``, and a block of two or more integer
+seeds in [0, 2^128) is seeded in one batch: numpy's ``SeedSequence`` hashes
+each such seed as one four-word entropy pool, and that hashing (pool fill,
+four all-pairs rounds, ``generate_state``) runs as uint32 array steps over
+every seed at once; PCG64's 128-bit seeding (inc = 2 initseq + 1, state =
+(inc + initstate) M + inc) puts one PCG64 per call into each seed's state.
+A lone seed, a block holding any other seed (negative, non-integer, or of
+2^128 or more), and every block when a one-time check finds that the batch
+route differs from ``default_rng`` (a numpy whose seeding changed), go to
+``default_rng`` itself.  A fuzz call draws all its chunks from one
+``_Draws``, so its seeds are hashed a block at a time, not a chunk at a time.
+
+A random density matrix is three steps per state: the draw, one
+normalisation and one gram.  The normals are drawn into a buffer reused
+across the stack and copied into the real and imaginary views of a reused
+complex vector; the vector is divided by the norm ``np.linalg.norm`` takes,
+the square root of the dots of those two views, and the gram is taken with
+its conjugate in a third buffer.  The stack is then validated once, so
+every drawn matrix passes ``_check_density`` exactly once; a fuzz witness is
+a read-only copy of its validated row (``_from_validated``), not checked again.
 """
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -89,19 +102,24 @@ def _check_density(mats):
 
     H + PSD_TOL I factorises when H's smallest eigenvalue is above -PSD_TOL,
     up to rounding; ``eigvalsh`` judges the stack only when it does not.
+    The Hermitian part is built in the array that held M - M^dagger, and
+    the shifted matrix in the one that held M's conjugate.
     """
     if not np.isfinite(mats).all():
         raise ValueError("matrix entries must be finite (no NaN or inf)")
-    adjoint = mats.conj().swapaxes(-1, -2)
-    if np.max(np.abs(mats - adjoint), initial=0.0) > HERM_TOL:
+    conj = np.conjugate(mats)  # a new array, also for a real stack
+    adjoint = conj.swapaxes(-1, -2)
+    herm = mats - adjoint
+    if np.max(np.abs(herm), initial=0.0) > HERM_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     trace = np.trace(mats, axis1=-2, axis2=-1)
     trace_err = np.maximum(np.abs(trace.real - 1.0), np.abs(trace.imag))
     if np.max(trace_err, initial=0.0) > TRACE_TOL:
         raise ValueError("matrix trace is not 1 within tolerance")
-    herm = 0.5 * (mats + adjoint)
+    np.add(mats, adjoint, out=herm)
+    herm *= 0.5
     try:
-        np.linalg.cholesky(herm + PSD_TOL * np.eye(mats.shape[-1]))
+        np.linalg.cholesky(np.add(herm, PSD_TOL * np.eye(mats.shape[-1]), out=conj))
     except np.linalg.LinAlgError:
         for low in np.linalg.eigvalsh(herm)[:, 0]:
             if low < -PSD_TOL:
@@ -137,6 +155,18 @@ class MixedState:
     @property
     def dim(self):
         return 2**self.num_qubits
+
+
+def _from_validated(cls, n, row):
+    """A PureState or MixedState (``cls``) of ``n`` qubits over a row of a
+    stack that was checked like one, without checking it again: a read-only
+    copy of the row, so the state keeps no stack alive."""
+    data = row.copy()
+    data.flags.writeable = False
+    state = object.__new__(cls)
+    object.__setattr__(state, "num_qubits", n)
+    object.__setattr__(state, "amplitudes" if cls is PureState else "matrix", data)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +235,9 @@ _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)  # mix(x, y) = L x
 _XSHIFT = np.uint32(16)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
+# seeds read and hashed at once: every chunk of a fuzz call of up to this
+# many trials shares one hashing, and a longer call holds no more seeds
+_SEED_BLOCK = 1 << 12
 
 
 def _hash_constants(init, mult, steps):
@@ -299,16 +332,70 @@ def _batch_seeding_matches():
 
 def _seeded_generators(seeds):
     """For each seed in turn, a Generator that draws what
-    ``np.random.default_rng(seed)`` draws; draw from it before taking the next."""
-    seeds = list(seeds)
-    batch = len(seeds) > 1 and all(  # seeds of 128 bits or fewer hash as one 4-word pool
-        isinstance(s, (int, np.integer)) and 0 <= s <= _MASK128 for s in seeds
-    )
-    if batch and _batch_seeding_matches():
-        yield from _pcg_generators([int(s) for s in seeds])
-    else:  # numpy's own route, and numpy's own errors for a bad seed
-        for seed in seeds:
-            yield np.random.default_rng(seed)
+    ``np.random.default_rng(seed)`` draws; draw from it before taking the next.
+    ``seeds`` is read lazily, ``_SEED_BLOCK`` seeds at a time, and each block
+    is seeded as one batch where it can be."""
+    seeds = iter(seeds)
+    while block := list(itertools.islice(seeds, _SEED_BLOCK)):
+        batch = len(block) > 1 and all(  # seeds of 128 bits or fewer hash as one 4-word pool
+            isinstance(s, (int, np.integer)) and 0 <= s <= _MASK128 for s in block
+        )
+        if batch and _batch_seeding_matches():
+            yield from _pcg_generators([int(s) for s in block])
+        else:  # numpy's own route, and numpy's own errors for a bad seed
+            for seed in block:
+                yield np.random.default_rng(seed)
+
+
+class _Draws:
+    """Random states drawn in turn from one iterable of seeds, the states of
+    ``random_pure`` and ``random_mixed`` bit for bit, as stacks checked like
+    a PureState or MixedState but not wrapped in one.  Every stack drawn
+    from one ``_Draws`` takes its seeds from the same ``_seeded_generators``,
+    so a fuzz call's seeds are hashed a block at a time, not a chunk at a
+    time."""
+
+    def __init__(self, seeds):
+        self._rngs = _seeded_generators(seeds)
+
+    def pure(self, n, count):
+        """(count, 2^n) amplitudes of the next ``count`` seeds' states."""
+        n = _check_qubit_count(n)
+        draws = np.empty((count, 2, 2**n))
+        # the stack comes first, so zip takes no generator beyond it
+        for row, rng in zip(draws, self._rngs):
+            rng.standard_normal(out=row)  # the real parts, then the imaginary parts
+        v = draws[:, 0] + 1j * draws[:, 1]
+        # the norm np.linalg.norm takes of one complex vector, row by row
+        norms = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+        stack = v / norms[:, None]
+        _check_normalized(stack)
+        return stack
+
+    def mixed(self, m, ranks):
+        """(len(ranks), 2^m, 2^m) density matrices of the next seeds' states,
+        one of each rank: per state a draw, one normalisation and one gram,
+        in buffers reused across the stack; the stack is validated once."""
+        m = _check_qubit_count(m, MAX_MIXED_QUBITS)
+        dim = 2**m
+        for rank in ranks:
+            if not _is_integer(rank):
+                raise ValueError(f"rank must be an integer, got {rank!r}")
+            if not (1 <= rank <= dim):
+                raise ValueError(f"rank {rank} outside [1, {dim}]")
+        stack = np.empty((len(ranks), dim, dim), dtype=np.complex128)
+        size = dim * max(ranks, default=0)
+        normals = np.empty(2 * size)
+        vec, conj = np.empty((2, size), dtype=np.complex128)
+        for out, rank, rng in zip(stack, ranks, self._rngs):
+            k = dim * rank
+            rng.standard_normal(out=normals[: 2 * k])  # the real parts, then the imaginary parts
+            v = vec[:k]
+            v.real, v.imag = normals[:k], normals[k : 2 * k]
+            v /= math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))  # np.linalg.norm(v)
+            block = v.reshape(dim, rank)
+            np.matmul(block, np.conjugate(block, out=conj[:k].reshape(dim, rank)).T, out=out)
+        return _check_density(stack)
 
 
 def random_pure(n, seed):
@@ -319,16 +406,7 @@ def random_pure(n, seed):
 def random_pure_stack(n, seeds):
     """Amplitudes of ``random_pure(n, seed)`` for each seed, as rows of a
     (len(seeds), 2^n) array, checked like a PureState but not wrapped in one."""
-    n = _check_qubit_count(n)
-    draws = np.empty((len(seeds), 2, 2**n))
-    for row, rng in zip(draws, _seeded_generators(seeds)):
-        rng.standard_normal(out=row)  # the real parts, then the imaginary parts
-    v = draws[:, 0] + 1j * draws[:, 1]
-    # the norm np.linalg.norm takes of one complex vector, row by row
-    norms = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
-    stack = v / norms[:, None]
-    _check_normalized(stack)
-    return stack
+    return _Draws(seeds).pure(n, len(seeds))
 
 
 def random_mixed(m, rank, seed):
@@ -340,25 +418,13 @@ def random_mixed(m, rank, seed):
 def random_mixed_stack(m, ranks, seeds):
     """Matrices of ``random_mixed(m, rank, seed)`` for each rank and seed, as a
     (len(seeds), 2^m, 2^m) stack, checked like a MixedState but not wrapped
-    in one.  Each state has its own generator and its own block @ block^H;
+    in one.  Each state has its own generator and its own block @ block^H:
+    its normals drawn into one reused buffer, its vector normalised as
+    ``np.linalg.norm`` would, and its gram taken once (``_Draws.mixed``);
     the stack is validated once."""
-    m = _check_qubit_count(m, MAX_MIXED_QUBITS)
     if len(ranks) != len(seeds):
         raise ValueError(f"{len(ranks)} ranks for {len(seeds)} seeds")
-    dim = 2**m
-    for rank in ranks:
-        if not _is_integer(rank):
-            raise ValueError(f"rank must be an integer, got {rank!r}")
-        if not (1 <= rank <= dim):
-            raise ValueError(f"rank {rank} outside [1, {dim}]")
-    stack = np.empty((len(seeds), dim, dim), dtype=np.complex128)
-    for out, rank, rng in zip(stack, ranks, _seeded_generators(seeds)):
-        draws = rng.standard_normal((2, dim * rank))
-        v = draws[0] + 1j * draws[1]
-        v /= np.linalg.norm(v)
-        block = v.reshape(dim, rank)
-        np.matmul(block, block.conj().T, out=out)
-    return _check_density(stack)
+    return _Draws(seeds).mixed(m, ranks)
 
 
 def density_of(psi):

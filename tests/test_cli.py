@@ -720,7 +720,17 @@ class TestBench:
     def test_prints_purity_workers(self, capsys):
         assert main(["bench", "--n", "4"]) == 0
         first = capsys.readouterr().out.splitlines()[0]
-        assert re.fullmatch(r"fast route {8}n=4: \d+\.\d\d ms, purity pass on 1 worker", first)
+        assert re.fullmatch(r"fast route {8}n=4: first call \d+\.\d\d ms, purity pass on 1 worker", first)
+
+    def test_first_call_plan_build_and_warm_call_each_printed(self, capsys, monkeypatch):
+        calls = []
+        fast = cli.all_infos_fast
+        monkeypatch.setattr(cli, "all_infos_fast", lambda psi: calls.append(psi) or fast(psi))
+        assert main(["bench", "--n", "5"]) == 0
+        plan, warm = capsys.readouterr().out.splitlines()[1:3]
+        assert re.fullmatch(r"  purity plan build \d+\.\d\d ms", plan)
+        assert re.fullmatch(r"  warm call {9}\d+\.\d\d ms \(best of 3\)", warm)
+        assert len(calls) == 4  # the first call and three warm ones
 
     def test_degenerate_single_qubit(self, capsys):
         assert main(["bench", "--n", "1"]) == 0
@@ -734,3 +744,33 @@ class TestBench:
         assert main(["bench", "--n", "7"]) == 0
         out = capsys.readouterr().out
         assert "enumeration route n=7" in out and "skipped" not in out
+
+
+class TestEntry:
+    def test_console_script_alone_sets_one_blas_thread(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "_blas_thread_setter", lambda: calls.append)
+        monkeypatch.setattr(sys, "argv", ["mqinfo", "report", "--state", "ghz:2"])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 0 and calls == [1]
+        assert main(["report", "--state", "ghz:2"]) == 0
+        assert calls == [1]
+
+    def test_console_script_leaves_blas_on_one_thread(self):
+        # OpenBLAS at two threads, as its default is on a 2-CPU host
+        code = (
+            "import sys\n"
+            "from mqinfo import cli, reduction\n"
+            "sys.argv = ['mqinfo', 'bench', '--n', '1']\n"
+            "try:\n"
+            "    cli.entry()\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print(reduction._blas_thread_setter() is not None, reduction._blas_threads())\n"
+        )
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}
+        env["PYTHONPATH"] = os.pathsep.join([str(TestTooling.SRC), env.get("PYTHONPATH", "")])
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        settable, threads = done.stdout.splitlines()[-1].split()
+        assert settable == "False" or threads == "1"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import mqinfo as mq
-from mqinfo import identities
+from mqinfo import identities, statekit
 from mqinfo.identities import (
     IDENTITIES,
     MAX_TRIALS,
@@ -18,7 +18,7 @@ from mqinfo.identities import (
     derive_seed,
 )
 from mqinfo.measures import info_values
-from mqinfo.statekit import random_pure_stack
+from mqinfo.statekit import _Draws, random_pure_stack
 
 
 def bell_pair_tensor():
@@ -353,7 +353,7 @@ class TestRegistryRows:
         names = mq.applicable(kind, n)
         seeds = [derive_seed(n, t) for t in range(3)]
         ranks = None if kind == "pure" else [t % 2**n + 1 for t in range(3)]
-        _, results = _chunk([IDENTITIES[name] for name in names], n, seeds, tol, ranks)
+        _, results = _chunk([IDENTITIES[name] for name in names], n, _Draws(seeds), len(seeds), tol, ranks)
         for row, seed in enumerate(seeds):
             state = _state(kind, n, seed, ranks[row] if ranks else 1)
             for name, (lhs, rhs, *_) in zip(names, results):
@@ -849,3 +849,65 @@ class TestBatchedEngine:
             "identity", "n", "trials", "max_residual", "failures", "passed",
             "worst_seed", "worst_state", "tolerance",
         }
+
+
+class TestEachStateOnce:
+    """A fuzz call hashes its seeds a block at a time, validates each drawn
+    state once, in its chunk, and wraps its witnesses from validated rows."""
+
+    def _record(self, monkeypatch, name):
+        """Patch statekit's ``name`` to record each call's argument."""
+        seen, real = [], getattr(statekit, name)
+        monkeypatch.setattr(statekit, name, lambda arg: seen.append(arg) or real(arg))
+        return seen
+
+    def test_mixed_check_validates_and_hashes_once(self, monkeypatch, tmp_path, capsys):
+        from mqinfo.cli import main
+
+        assert statekit._batch_seeding_matches()  # cached, so its own hashing is not counted
+        checked = self._record(monkeypatch, "_check_density")
+        hashed = self._record(monkeypatch, "_pcg_seeds")
+        # m = 5 runs chunks of 8 states; tol 0 fails eq23, so a witness is written
+        argv = ["mixed-check", "--random", "--m", "5", "--trials", "32", "--tol", "0"]
+        assert main([*argv, "--out", str(tmp_path / "w.json")]) == 1
+        assert [mats.shape for mats in checked] == [(8, 32, 32)] * 4
+        assert [len(words) for words in hashed] == [32]
+        assert (tmp_path / "w.json").exists()
+
+    def test_seeds_are_hashed_a_block_at_a_time(self, monkeypatch):
+        assert statekit._batch_seeding_matches()
+        hashed = self._record(monkeypatch, "_pcg_seeds")
+        mq.fuzz(["eq1b"], 1, 100_000, 3)
+        sizes = [len(words) for words in hashed]
+        assert max(sizes) == statekit._SEED_BLOCK < 100_000
+        assert sum(sizes) == 100_000 and len(sizes) == -(-100_000 // statekit._SEED_BLOCK)
+
+    @pytest.mark.parametrize(
+        "kind, n, trials, rank",
+        [
+            ("pure", 1, 9, None), ("pure", 4, 600, None), ("pure", 9, 40, None),
+            ("mixed", 1, 9, None), ("mixed", 3, 300, None), ("mixed", 5, 20, None), ("mixed", 4, 40, 3),
+        ],
+    )
+    def test_witnesses_are_read_only_copies_of_the_seeded_states(self, kind, n, trials, rank, monkeypatch):
+        stacks = []
+        for method in ("pure", "mixed"):
+            real = getattr(statekit._Draws, method)
+            monkeypatch.setattr(
+                statekit._Draws, method,
+                lambda self, *args, real=real: stacks.append(real(self, *args)) or stacks[-1],
+            )
+        summaries = mq.fuzz(mq.applicable(kind, n), n, trials, 7, tol=0.0, rank=rank)
+        assert len(stacks) > 1 or n == 1  # the trials span chunks
+        for s in summaries:
+            seed, state = s["worst_seed"], s["worst_state"]
+            if kind == "pure":
+                data, ref = state.amplitudes, mq.random_pure(n, seed).amplitudes
+            else:
+                trial_rank = rank or (seed - 7 * MAX_TRIALS) % 2**n + 1
+                data, ref = state.matrix, mq.random_mixed(n, trial_rank, seed).matrix
+            assert type(state) is (mq.PureState if kind == "pure" else mq.MixedState)
+            assert state.num_qubits == n and type(state.num_qubits) is int
+            assert data.dtype == ref.dtype and data.shape == ref.shape and data.tobytes() == ref.tobytes()
+            assert data.flags.c_contiguous and not data.flags.writeable
+            assert not any(np.shares_memory(data, stack) for stack in stacks)

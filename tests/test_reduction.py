@@ -1,4 +1,3 @@
-import ctypes
 import functools
 import inspect
 import os
@@ -181,13 +180,10 @@ def _use_cpus(monkeypatch, cpus, blas_threads=1):
 def one_blas_thread():
     """numpy's OpenBLAS on one thread for the test, where it can be set:
     two BLAS threads beside the workers make large passes slow."""
-    query = reduction._blas_thread_query()
-    if query is None:
+    query, setter = reduction._blas_thread_query(), reduction._blas_thread_setter()
+    if setter is None:
         yield
         return
-    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    setter = getattr(lib, query.__name__.replace("_get_", "_set_"))
-    setter.argtypes, setter.restype = [ctypes.c_int], None
     before = query()
     setter(1)
     try:
