@@ -36,7 +36,7 @@ from .measures import (
     concurrence_sq_2q,
     n_tangle,
 )
-from .reduction import _blas_thread_setter, _purity_plan, _purity_workers
+from .reduction import _openblas, _purity_plan, _purity_workers
 from .statekit import (
     MAX_MIXED_QUBITS,
     MixedState,
@@ -57,9 +57,7 @@ def _resolve_pure(spec):
     if ":" not in spec:
         raise ValueError(f"bad state spec {spec!r}; want family:n or file:path")
     family, _, count = spec.partition(":")
-    n = int(count)
-    _check_qubit_count(n)
-    return make_named(family, n)
+    return make_named(family, int(count))
 
 
 def _resolve_mixed(spec):
@@ -392,7 +390,7 @@ def entry():
     thread before the first product: then ``_purity_workers`` counts every
     CPU, and the purity pass runs on as many workers from n = 11.  ``main``,
     which library callers share their process with, leaves BLAS as it is."""
-    setter = _blas_thread_setter()
+    setter = _openblas()[1]
     if setter is not None:
         setter(1)
     raise SystemExit(main())

@@ -52,6 +52,7 @@ from .statekit import (
     MixedState,
     PureState,
     _check_qubit_count,
+    _check_qubits,
     _Draws,
     _from_validated,
     _is_integer,
@@ -400,16 +401,15 @@ def _check(name, state, table, tol, **case):
         takes, got = (", ".join(names) or "no keys" for names in (keys, case))
         raise ValueError(f"{name} takes {takes}, got {got}")
     if "k" in case:
-        k = case["k"]
-        if not (_is_integer(k) and 1 <= k <= n):
-            raise ValueError(f"qubit {k} outside 1..{n}")
-        case["k"] = int(k)
+        (case["k"],) = _check_qubits(n, (case["k"],))
     if "pair" in case:
-        given = tuple(case["pair"])
-        integers = all(map(_is_integer, given))
-        pair = tuple(sorted(set(map(int, given)))) if integers else given
-        if not integers or len(pair) != 2 or pair[0] < 1 or pair[1] > n:
-            raise ValueError(f"bad pair {pair} for n={n}")
+        given = case["pair"]
+        try:
+            pair = _check_qubits(n, given)
+        except ValueError:
+            pair = ()
+        if len(pair) != 2:
+            raise ValueError(f"bad pair {tuple(given) if np.iterable(given) else given} for n={n}")
         case["pair"] = list(pair)
     if ident.kind == "pure":
         table = table if table is not None else all_infos_fast(state)

@@ -38,7 +38,7 @@ import numpy as np
 
 from .pauli import expectation_pure, pauli_spectrum, strings_on_support
 from .reduction import pure_subset_purities, subset_purity
-from .statekit import MAX_MIXED_QUBITS
+from .statekit import MAX_MIXED_QUBITS, _check_qubits
 
 
 def _subset_to_mask(subset):
@@ -116,7 +116,7 @@ class InfoTable:
         return MappingProxyType(dict(zip(subsets, self.values[masks].tolist())))
 
     def get(self, subset):
-        return self.entries[tuple(sorted(subset))]
+        return self.entries[_check_qubits(self.num_qubits, subset)]
 
     def subsets(self):
         """Subsets in ascending (size, indices) order."""
@@ -147,8 +147,6 @@ class InfoTable:
 
 def info_single(psi, i):
     """I_i: sum of squared X/Y/Z expectations on qubit i."""
-    if not (1 <= i <= psi.num_qubits):
-        raise ValueError(f"qubit index {i} outside 1..{psi.num_qubits}")
     return sum(
         expectation_pure(psi, p) ** 2
         for p in strings_on_support(psi.num_qubits, (i,))
@@ -157,7 +155,7 @@ def info_single(psi, i):
 
 def info_subset(psi, subset):
     """I_S for |S| >= 2: the 3^|S|-term squared-expectation sum, minus 1."""
-    subset = tuple(sorted(set(subset)))
+    subset = _check_qubits(psi.num_qubits, subset)
     if len(subset) < 2:
         raise ValueError(f"subset {subset} too small; need at least 2 qubits")
     f = sum(
@@ -293,13 +291,9 @@ def tau_linear_entropy(psi, subset, table=None):
     route's), the purity is read from it instead of recomputed; a table of
     another qubit count raises ValueError.
     """
-    subset = tuple(sorted(set(subset)))
-    if not subset:
-        raise ValueError("empty subset")
+    subset = _check_qubits(psi.num_qubits, subset)
     if len(subset) >= psi.num_qubits:
         raise ValueError("subset must be a proper subset of the qubits")
-    if subset[0] < 1 or subset[-1] > psi.num_qubits:
-        raise ValueError(f"subset {subset} outside qubit range 1..{psi.num_qubits}")
     if table is not None and table.num_qubits != psi.num_qubits:
         raise ValueError(f"table of {table.num_qubits} qubits for a state of {psi.num_qubits}")
     if table is not None and table.purities is not None:

@@ -17,6 +17,8 @@ from itertools import product
 
 import numpy as np
 
+from .statekit import _check_qubits
+
 LETTERS = "IXYZ"
 IMAG_TOL = 1e-10
 
@@ -144,11 +146,7 @@ def strings_on_support(n, subset):
     Emitted in lexicographic order over (qubit, letter) with X < Y < Z;
     this order is the normative reduction order for all sums.
     """
-    subset = sorted(set(subset))
-    if not subset:
-        raise ValueError("empty support subset")
-    if subset[0] < 1 or subset[-1] > n:
-        raise ValueError(f"subset {subset} outside qubit range 1..{n}")
+    subset = _check_qubits(n, subset)
     out = []
     for combo in product("XYZ", repeat=len(subset)):
         letters = ["I"] * n

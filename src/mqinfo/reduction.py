@@ -29,34 +29,30 @@ from itertools import combinations
 import numpy as np
 
 from .pauli import IMAG_TOL
-from .statekit import MixedState, PureState
+from .statekit import MixedState, PureState, _check_qubits
 
 
 def _split_axes(n, keep):
-    keep = sorted(set(keep))
-    if not keep:
-        raise ValueError("empty keep set")
-    if keep[0] < 1 or keep[-1] > n:
-        raise ValueError(f"keep set {keep} outside qubit range 1..{n}")
+    keep = _check_qubits(n, keep)
     keep_axes = [q - 1 for q in keep]
     env_axes = [a for a in range(n) if a not in keep_axes]
     return keep, keep_axes, env_axes
 
 
 def _pure_block(psi, keep):
-    """Amplitudes reshaped to (2^|keep|, 2^|env|) with kept qubits leading."""
+    """The checked ``keep`` and the amplitudes reshaped to (2^|keep|, 2^|env|)
+    with kept qubits leading."""
     n = psi.num_qubits
     keep, keep_axes, env_axes = _split_axes(n, keep)
     tensor = psi.amplitudes.reshape((2,) * n)
-    block = tensor.transpose(keep_axes + env_axes).reshape(2 ** len(keep), -1)
-    return block
+    return keep, tensor.transpose(keep_axes + env_axes).reshape(2 ** len(keep), -1)
 
 
 def partial_trace(source, keep):
     """Reduced density matrix over ``keep`` (1-based qubit indices)."""
     if isinstance(source, PureState):
-        block = _pure_block(source, keep)
-        return MixedState(len(set(keep)), block @ block.conj().T)
+        keep, block = _pure_block(source, keep)
+        return MixedState(len(keep), block @ block.conj().T)
 
     m = source.num_qubits
     keep, keep_axes, env_axes = _split_axes(m, keep)
@@ -81,7 +77,7 @@ def purity(rho):
 
 def subset_purity(psi, keep):
     """tr(rho_keep^2) for a pure state, via the smaller Schmidt block."""
-    block = _pure_block(psi, keep)
+    _, block = _pure_block(psi, keep)
     dk, de = block.shape
     gram = block @ block.conj().T if dk <= de else block.conj().T @ block
     return float(np.sum(np.abs(gram) ** 2))
@@ -170,38 +166,27 @@ def _purity_plan(n):
 
 
 @cache
-def _blas_thread_query():
-    """OpenBLAS's thread-count function, found through numpy's core module,
-    or None where numpy's BLAS cannot be asked."""
+def _openblas():
+    """OpenBLAS's thread-count functions (get, set), found through numpy's
+    core module, or (None, None) where numpy's BLAS cannot be asked."""
     try:
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
     except (AttributeError, OSError):
-        return None
-    names = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads")
-    query = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
-    if query is not None:
-        query.argtypes, query.restype = [], ctypes.c_int
-    return query
-
-
-@cache
-def _blas_thread_setter():
-    """OpenBLAS's ``*_set_num_threads`` counterpart of ``_blas_thread_query``,
-    or None where numpy's BLAS cannot be asked."""
-    query = _blas_thread_query()
-    if query is None:
-        return None
-    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    setter = getattr(lib, query.__name__.replace("_get_", "_set_"), None)
-    if setter is not None:
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-    return setter
+        return None, None
+    for get_name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        set_name = get_name.replace("_get_", "_set_")
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            get, put = getattr(lib, get_name), getattr(lib, set_name)
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None, None
 
 
 def _blas_threads():
     """Threads numpy's BLAS runs one product on; 1 where it cannot be asked."""
-    query = _blas_thread_query()
-    return max(1, query()) if query else 1
+    get = _openblas()[0]
+    return max(1, get()) if get else 1
 
 
 def _purity_workers(n):

@@ -11,6 +11,11 @@ at least -PSD_TOL is rejected.
 Index convention: qubit 1 is the most significant bit of the basis index,
 so |q1 q2 ... qn> maps to the integer q1*2^(n-1) + ... + qn.
 
+``_check_qubit_count`` and ``_check_qubits`` are the package's only checks
+of qubit arguments: a count is an integer in [1, limit], and a set of
+qubits is a non-empty iterable of integers in 1..n.  Both accept numpy
+integers and reject bools, floats and anything else with ValueError.
+
 Random states draw what ``np.random.default_rng(seed)`` draws.  Seeds are
 read in blocks of up to ``_SEED_BLOCK``, and a block of two or more integer
 seeds in [0, 2^128) is seeded in one batch: numpy's ``SeedSequence`` hashes
@@ -63,6 +68,20 @@ def _check_qubit_count(n, limit=MAX_QUBITS):
     if not (1 <= n <= limit):
         raise ValueError(f"qubit count {n} outside [1, {limit}]")
     return int(n)
+
+
+def _check_qubits(n, qubits):
+    """A non-empty set of 1-based qubits as a sorted tuple of distinct ints;
+    ValueError unless each is an integer (not a bool) in 1..n."""
+    if not np.iterable(qubits):
+        raise ValueError(f"expected a set of qubits, got {qubits!r}")
+    qubits = list(qubits)
+    if not qubits:
+        raise ValueError("empty qubit set")
+    for q in qubits:
+        if not (_is_integer(q) and 1 <= q <= n):
+            raise ValueError(f"qubit {q} outside 1..{n}")
+    return tuple(sorted(set(map(int, qubits))))
 
 
 def _check_normalized(amps):
@@ -198,6 +217,7 @@ NAMED_FAMILIES = ("ghz", "w", "basis-product", "bell-phi-plus")
 
 
 def make_named(family, n):
+    n = _check_qubit_count(n)
     if family == "bell-phi-plus":
         if n != 2:
             raise ValueError("bell-phi-plus requires n = 2")

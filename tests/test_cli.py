@@ -749,7 +749,7 @@ class TestBench:
 class TestEntry:
     def test_console_script_alone_sets_one_blas_thread(self, monkeypatch, capsys):
         calls = []
-        monkeypatch.setattr(cli, "_blas_thread_setter", lambda: calls.append)
+        monkeypatch.setattr(cli, "_openblas", lambda: (None, calls.append))
         monkeypatch.setattr(sys, "argv", ["mqinfo", "report", "--state", "ghz:2"])
         with pytest.raises(SystemExit) as exc:
             cli.entry()
@@ -767,7 +767,7 @@ class TestEntry:
             "    cli.entry()\n"
             "except SystemExit:\n"
             "    pass\n"
-            "print(reduction._blas_thread_setter() is not None, reduction._blas_threads())\n"
+            "print(reduction._openblas()[1] is not None, reduction._blas_threads())\n"
         )
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}
         env["PYTHONPATH"] = os.pathsep.join([str(TestTooling.SRC), env.get("PYTHONPATH", "")])

@@ -180,11 +180,11 @@ def _use_cpus(monkeypatch, cpus, blas_threads=1):
 def one_blas_thread():
     """numpy's OpenBLAS on one thread for the test, where it can be set:
     two BLAS threads beside the workers make large passes slow."""
-    query, setter = reduction._blas_thread_query(), reduction._blas_thread_setter()
+    get, setter = reduction._openblas()
     if setter is None:
         yield
         return
-    before = query()
+    before = get()
     setter(1)
     try:
         yield
@@ -237,7 +237,7 @@ class TestParallelPass:
     def test_blas_threads_are_asked(self, threads):
         code = (
             "from mqinfo import reduction\n"
-            "print(reduction._blas_thread_query() is not None, reduction._blas_threads())"
+            "print(reduction._openblas()[0] is not None, reduction._blas_threads())"
         )
         env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
         env["PYTHONPATH"] = os.pathsep.join([str(Path(reduction.__file__).parents[1]), env.get("PYTHONPATH", "")])

@@ -5,7 +5,8 @@ import pytest
 
 import mqinfo as mq
 from mqinfo import statekit
-from mqinfo.identities import MAX_TRIALS
+from mqinfo.identities import MAX_TRIALS, check
+from mqinfo.reduction import subset_purity
 from mqinfo.statekit import PSD_TOL, MixedState, PureState, _check_density
 
 from conftest import density_with_min_eigenvalue
@@ -124,6 +125,77 @@ class TestQubitCount:
         assert mq.state_from_json(mq.state_to_json(rho)).num_qubits == 1
         summary = mq.fuzz(["eq1b"], np.int32(3), 2, 0)[0]
         assert type(summary["n"]) is int and type(summary["worst_state"].num_qubits) is int
+
+
+def _qubit_entry_points():
+    """Every public function that takes qubits, as call(q) on 4-qubit states:
+    a set of qubits for each one but ``info_single`` and ``check``'s ``k``."""
+    psi = mq.random_pure(4, 7)
+    rho = mq.random_mixed(4, 2, 7)
+    table = mq.all_infos_fast(psi)
+    return {
+        "partial_trace_pure": lambda q: mq.partial_trace(psi, q),
+        "partial_trace_mixed": lambda q: mq.partial_trace(rho, q),
+        "subset_purity": lambda q: subset_purity(psi, q),
+        "strings_on_support": lambda q: mq.strings_on_support(4, q),
+        "info_subset": lambda q: mq.info_subset(psi, q),
+        "InfoTable.get": lambda q: table.get(q),
+        "tau_linear_entropy": lambda q: mq.tau_linear_entropy(psi, q),
+        "tau_linear_entropy_table": lambda q: mq.tau_linear_entropy(psi, q, table),
+        "check_pair": lambda q: check("eq20", psi, pair=q),
+        "info_single": lambda q: mq.info_single(psi, q),
+        "check_k": lambda q: check("eq14", psi, k=q),
+    }
+
+
+_SINGLE_QUBIT = ("info_single", "check_k")
+_NOT_QUBITS = [1.5, 2.0, True, None, "1", 0, 5]  # 5 is n + 1
+
+
+def _bad_qubit_cases():
+    """(entry, argument): each bad qubit alone or beside qubit 3, the empty
+    set, and a bare int where a set is expected."""
+    for entry in _qubit_entry_points():
+        if entry in _SINGLE_QUBIT:
+            arguments = _NOT_QUBITS + [()]
+        else:
+            arguments = [(3, q) for q in _NOT_QUBITS] + [(), 2]
+        yield from (pytest.param(entry, q, id=f"{entry}-{q!r}") for q in arguments)
+
+
+def _same(a, b):
+    if isinstance(a, MixedState):
+        return a.num_qubits == b.num_qubits and a.matrix.tobytes() == b.matrix.tobytes()
+    return type(a) is type(b) and a == b
+
+
+class TestQubitArguments:
+    """One rule for qubit arguments: 1-based integers of 1..n, numpy integers
+    accepted, bools, floats and anything else rejected with ValueError."""
+
+    @pytest.mark.parametrize(("entry", "qubits"), list(_bad_qubit_cases()))
+    def test_bad_qubits_raise_value_error(self, entry, qubits):
+        call = _qubit_entry_points()[entry]
+        with pytest.raises(ValueError):
+            call(qubits)
+
+    @pytest.mark.parametrize("entry", list(_qubit_entry_points()))
+    def test_numpy_integers_give_bit_identical_results(self, entry):
+        call = _qubit_entry_points()[entry]
+        plain, numpy = (2, np.int64(2)) if entry in _SINGLE_QUBIT else ((3, 1), (np.int64(3), np.int64(1)))
+        assert _same(call(numpy), call(plain))
+
+    @pytest.mark.parametrize("family", statekit.NAMED_FAMILIES)
+    @pytest.mark.parametrize("n", [2.0, -1, True, 15])
+    def test_make_named_checks_its_count_first(self, family, n):
+        with pytest.raises(ValueError, match="^qubit count "):
+            mq.make_named(family, n)
+
+    def test_sorted_distinct_ints_and_one_message(self):
+        assert statekit._check_qubits(4, [np.int64(3), 1, 3]) == (1, 3)
+        assert all(type(q) is int for q in statekit._check_qubits(4, np.array([4, 2])))
+        with pytest.raises(ValueError, match=r"^qubit 5 outside 1\.\.4$"):
+            statekit._check_qubits(4, [2, 5])
 
 
 class TestRandomMixed:
