@@ -48,6 +48,15 @@ from .statekit import (
 )
 
 
+def _spec_count(spec, count):
+    """The qubit count of a ``family:n`` spec, as an int; ValueError naming
+    the spec unless the count is a base-10 integer."""
+    try:
+        return int(count)
+    except ValueError:
+        raise ValueError(f"bad qubit count {count!r} in {spec!r}") from None
+
+
 def _resolve_pure(spec):
     if spec.startswith("file:"):
         state = load_state(spec[5:])
@@ -57,7 +66,7 @@ def _resolve_pure(spec):
     if ":" not in spec:
         raise ValueError(f"bad state spec {spec!r}; want family:n or file:path")
     family, _, count = spec.partition(":")
-    return make_named(family, int(count))
+    return make_named(family, _spec_count(spec, count))
 
 
 def _resolve_mixed(spec):
@@ -68,7 +77,7 @@ def _resolve_mixed(spec):
         return state
     family, _, count = spec.partition(":")
     if family == "maximally-mixed":
-        m = int(count)
+        m = _spec_count(spec, count)
         _check_qubit_count(m, MAX_MIXED_QUBITS)  # before the identity matrix is built
         return MixedState(m, np.eye(2**m, dtype=np.complex128) / 2**m)
     raise ValueError(f"bad density spec {spec!r}; want maximally-mixed:m or file:path")

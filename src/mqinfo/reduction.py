@@ -5,7 +5,10 @@ partial trace contracts amplitudes directly (never forms the full density
 matrix), and the all-subset purity pass derives small reduced matrices from
 larger ones, which is what makes the fast path cheap.  The pass takes a
 stack of states, one per row, and up to n = 8 runs several states through
-each batch together.  From n = 11 up, where a batch's grams come to 2^21
+each batch together.  It allocates one workspace per call and writes every
+array into it, the gathered Schmidt blocks and their gather index too, so a
+fresh process's first pass at n = 14 takes about 800 minor page faults, not
+220,000 (``BENCH_23.json``).  From n = 11 up, where a batch's grams come to 2^21
 complex multiply-adds or more, the batches run on several workers: the
 calling thread, and threads started and joined within the call, each kept
 to a CPU of its own.  There are as many as the CPUs the process may run on
@@ -83,10 +86,11 @@ def subset_purity(psi, keep):
     return float(np.sum(np.abs(gram) ** 2))
 
 
-# amplitudes gathered per gram call of pure_subset_purities; it also bounds
-# the chunks of states the fuzz driver stacks
+# amplitudes of the states pure_subset_purities stacks through one batch,
+# and of the chunks of states the fuzz driver stacks
 _BATCH_AMPLITUDES = 1 << 13
-# (top, state) gram entries per batch, which the traces and purity sums share
+# (top, state) gram entries per batch, which the traces and purity sums
+# share, and amplitudes gathered per gram call
 _TRACE_ENTRIES = 1 << 15
 # complex multiply-adds of one batch's grams from which the batches are
 # spread over the CPUs (n >= 11); a smaller batch is too short a share
@@ -121,15 +125,17 @@ def _purity_plan(n):
     states share it (3 at n = 8), no more than keep one top's blocks within
     ``_BATCH_AMPLITUDES``; otherwise ``stack`` is 1 (8 tops a batch at
     n = 12).  Each batch is (rows, cols, levels, offset); ``rows | cols``
-    indexes the amplitudes into its tops' Schmidt blocks, and ``offset``
-    counts the subsets of the batches before it, so a batch's purity sums
-    are its own slice of a pass's.
+    indexes the amplitudes into its tops' Schmidt blocks, checked here to
+    lie below 2^n, and ``offset`` counts the subsets of the batches before
+    it, so a batch's purity sums are its own slice of a pass's.
     ``levels`` holds, per smaller subset size, (count, dim, groups); a group
     (parents, lo, hi) traces qubit q out of the first ``parents`` > 0
     matrices of the level above, lo = 2^(q-1) and hi being the dimensions
     of the factors before and after it.  ``masks`` gives every matrix's
     subset, batch after batch, and ``entries`` the most matrix entries one
-    state takes in a batch, grams and traces together.
+    state takes in a batch: its grams, and after them the larger of its
+    traced matrices and the gathered blocks and conjugates of one gram
+    call, of as many tops as fit ``_TRACE_ENTRIES`` amplitudes.
 
     A subset holding qubits 1..r (not r+1) is the parent of one child per
     q <= r, the subset without qubit q, which holds 1..q-1 and not q.  With
@@ -145,6 +151,7 @@ def _purity_plan(n):
     rest = [[a for a in range(n) if a not in t] for t in tops]
     rows = _block_index(n, np.array(tops, dtype=np.intp).reshape(len(tops), half))[:, :, None]
     cols = _block_index(n, np.array(rest, dtype=np.intp).reshape(len(tops), n - half))[:, None, :]
+    _check_gather(n, rows, cols)
     batches, masks, entries = [], [], 0
     for start in range(0, len(tops), step):
         level = subsets = tops[start : start + step]
@@ -160,9 +167,21 @@ def _purity_plan(n):
             subsets = subsets + level
         batches.append((rows[start : start + step], cols[start : start + step], levels, len(masks)))
         masks += [sum(1 << a for a in s) for s in subsets]
-        size = len(batches[-1][0]) << 2 * half
-        entries = max(entries, size + sum(count * dim * dim for count, dim, _ in levels))
+        traced = sum(count * dim * dim for count, dim, _ in levels)
+        gathered = 2 * min(len(batches[-1][0]), _TRACE_ENTRIES >> n) << n
+        entries = max(entries, (len(batches[-1][0]) << 2 * half) + max(traced, gathered))
     return batches, np.array(masks, dtype=np.intp), stack, entries
+
+
+def _check_gather(n, rows, cols):
+    """Raise unless every ``rows | cols`` amplitude index lies in 0..2^n-1
+    and each top's row and column bits are disjoint; the gram calls gather
+    with ``np.take(mode="clip")``, which checks no index.  A negative index
+    sets the bits from n up, as one of 2^n or more does."""
+    row_bits = np.bitwise_or.reduce(rows, axis=(1, 2))
+    col_bits = np.bitwise_or.reduce(cols, axis=(1, 2))
+    if np.any(row_bits & col_bits) or np.any((row_bits | col_bits) >> n):
+        raise ValueError(f"purity plan for n={n}: a gather index is out of range or overlaps")
 
 
 @cache
@@ -255,13 +274,17 @@ def pure_subset_purities(amps):
 
     The states go through the batches of ``_purity_plan(n)`` in passes of
     at most ``stack`` states, whose sizes differ by at most one.  A gram
-    call multiplies as many (top, state) blocks as fit ``_BATCH_AMPLITUDES``
-    amplitudes.  Batch i runs on worker i mod W, W being
+    call takes as many tops of every state of a pass as keep the largest
+    pass within ``_TRACE_ENTRIES`` gathered amplitudes (a whole batch at
+    n = 12).  Batch i runs on worker i mod W, W being
     ``_purity_workers(n)`` (1 below n = 11); worker 0 is the calling
-    thread.  Each worker's grams and traced matrices are views into its own
-    region of one workspace allocated once per call, and each batch writes
-    the purity sums of its own slice.  Every row equals the one-state
-    result bit for bit, whatever W.
+    thread.  Each worker has its own region of one workspace allocated once
+    per call, and every array a batch needs is a view into it: the grams
+    first, then, during a gram call, the gather index, the gathered Schmidt
+    blocks and their conjugates, and after the grams the traced matrices,
+    which take that space over.  Each batch writes the purity sums of its
+    own slice.  Every row equals the one-state result bit for bit,
+    whatever W.
     """
     count, dim = amps.shape
     n = dim.bit_length() - 1
@@ -274,7 +297,9 @@ def pure_subset_purities(amps):
         return purities
     passes = -(-count // stack)
     bounds = [count * p // passes for p in range(passes + 1)]
-    region = 2 * -(-count // passes) * entries
+    most = -(-count // passes)
+    region = 2 * most * entries
+    per_call = max(1, (_TRACE_ENTRIES >> n) // most)
     workers = _purity_workers(n)
     work = np.empty(workers * region + count * len(masks))
     sums = work[workers * region :]
@@ -284,16 +309,23 @@ def pure_subset_purities(amps):
         mats_work = work[w * region : (w + 1) * region].view(np.complex128)
         for start, end in zip(bounds, bounds[1:]):
             states, b = amps[start:end], end - start
-            gram = max(1, (_BATCH_AMPLITUDES >> n) // b)
             for rows, cols, levels, offset in batches[w::workers]:
                 grams = mats_work[: len(rows) * b * width * width].reshape(-1, width, width)
-                for top in range(0, len(rows), gram):
-                    # blocks ordered (top, state), so a level's leading subsets
-                    # are one slice for every state; no copy for a single state
-                    blocks = np.take(states, rows[top : top + gram] | cols[top : top + gram], axis=1).swapaxes(0, 1)
-                    blocks = np.ascontiguousarray(blocks).reshape(-1, *blocks.shape[2:])
-                    np.matmul(blocks, blocks.conj().transpose(0, 2, 1), out=grams[top * b : top * b + len(blocks)])
-                    del blocks  # freed before the next gather and the traces
+                gather = mats_work[grams.size :]
+                for top in range(0, len(rows), per_call):
+                    r, c = rows[top : top + per_call], cols[top : top + per_call]
+                    shape = (b, len(r), r.shape[1], c.shape[2])
+                    size = b * len(r) << n
+                    blocks, conj = gather[:size].reshape(shape), gather[size : 2 * size].reshape(shape)
+                    # the index sits where the conjugates go, read before they are written
+                    index = gather[size:].view(np.intp)[: len(r) << n].reshape(shape[1:])
+                    np.bitwise_or(r, c, out=index)
+                    np.take(states, index, axis=1, out=blocks, mode="clip")  # indices checked by the plan
+                    np.conjugate(blocks, out=conj)
+                    # grams ordered (top, state), so a level's leading subsets
+                    # are one slice for every state
+                    out = grams[top * b : (top + len(r)) * b].reshape(len(r), b, width, width)
+                    np.matmul(blocks, conj.swapaxes(2, 3), out=out.swapaxes(0, 1))
                 mats, used = [grams], grams.size
                 for subsets, side, groups in levels:
                     parent = mats[-1]

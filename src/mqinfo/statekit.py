@@ -79,7 +79,9 @@ def _check_qubits(n, qubits):
     if not qubits:
         raise ValueError("empty qubit set")
     for q in qubits:
-        if not (_is_integer(q) and 1 <= q <= n):
+        if not _is_integer(q):
+            raise ValueError(f"qubit must be an integer, got {q!r}")
+        if not 1 <= q <= n:
             raise ValueError(f"qubit {q} outside 1..{n}")
     return tuple(sorted(set(map(int, qubits))))
 

@@ -271,6 +271,13 @@ class TestTooling:
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize("count", ["2.0", "x", ""])
+    def test_non_integer_count_names_the_spec(self, count, capsys):
+        assert main(["report", "--state", f"ghz:{count}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad qubit count {count!r} in 'ghz:{count}'\n"
+
     @pytest.mark.parametrize(
         "how, message",
         [
@@ -440,7 +447,7 @@ class TestMixedCheck:
             ("-1", "qubit count -1 outside [1, 7]"),
             ("0", "qubit count 0 outside [1, 7]"),
             ("8", "qubit count 8 outside [1, 7]"),
-            ("x", "invalid literal for int() with base 10: 'x'"),
+            ("x", "bad qubit count 'x' in 'maximally-mixed:x'"),
         ],
     )
     def test_rho_bad_size_exit_2(self, count, message, capsys):

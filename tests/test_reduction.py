@@ -99,28 +99,65 @@ class TestPurityPlan:
         # states share batches only whole
         gram = 1 << 2 * (n // 2)
         assert stack == 1 or len(batches) <= 1
-        offset = 0
+        offset, most = 0, 0
         for rows, cols, levels, at in batches:
             assert stack * len(rows) * gram <= reduction._TRACE_ENTRIES
-            assert len(rows) * gram + sum(c * d * d for c, d, _ in levels) <= entries
+            # after the grams, the traced matrices and, during a gram call,
+            # its gathered blocks and their conjugates
+            traced = sum(c * d * d for c, d, _ in levels)
+            most = max(most, len(rows) * gram + max(traced, 2 * min(len(rows), reduction._TRACE_ENTRIES >> n) << n))
             assert all(parents > 0 for _, _, groups in levels for parents, _, _ in groups)
             # each batch's purity sums start where the last batch's end
             assert at == offset
             offset += len(rows) + sum(c for c, _, _ in levels)
         assert offset == len(masks)
-        # each gram call of a full pass stays within the amplitude budget
-        # unless one block alone exceeds it
+        assert entries == most
+        # each gram call of a full pass takes as many tops of every state as
+        # fit the amplitude budget
+        per_call = max(1, (reduction._TRACE_ENTRIES >> n) // stack)
         calls = []
         matmul = np.matmul
 
         def counted(a, b, **kwargs):
-            calls.append(len(a))
+            calls.append(a.shape[:2])
             return matmul(a, b, **kwargs)
 
         monkeypatch.setattr(reduction.np, "matmul", counted)
         pure_subset_purities(random_pure_stack(n, range(stack)))
-        assert sum(calls) == stack * sum(len(rows) for rows, *_ in batches)
-        assert all(blocks << n <= max(reduction._BATCH_AMPLITUDES, 1 << n) for blocks in calls)
+        want = [(stack, len(rows[top : top + per_call])) for rows, *_ in batches for top in range(0, len(rows), per_call)]
+        assert sorted(calls) == sorted(want)  # the workers' calls interleave
+        assert all(states * tops << n <= reduction._TRACE_ENTRIES for states, tops in calls)
+
+    @pytest.mark.parametrize(("n", "calls"), [(4, 1), (5, 1), (7, 1), (8, 1), (9, 2), (11, 29), (12, 58), (13, 429), (14, 858)])
+    def test_gram_calls_of_one_state(self, n, calls, monkeypatch):
+        # a batch's tops in as few calls as the budget allows: one a batch at n = 12
+        counted = []
+        matmul = np.matmul
+
+        def counting(a, b, **kwargs):
+            counted.append(a.shape[1])
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(reduction.np, "matmul", counting)
+        pure_subset_purities(random_pure_stack(n, [n]))
+        assert len(counted) == calls
+        assert sum(counted) == sum(len(rows) for rows, *_ in reduction._purity_plan(n)[0])
+
+    @pytest.mark.parametrize("bad", ["out of range", "overlapping", "negative"])
+    def test_bad_gather_index_raises_when_the_plan_is_built(self, bad, monkeypatch):
+        block_index = reduction._block_index
+
+        def broken(n, axes):
+            # the cols, one entry of the last top's: 2^n, a bit of the top's, or -1
+            index = block_index(n, axes)
+            if axes.shape[1] > n // 2:
+                top = min(set(range(n)) - set(axes[-1]))
+                index[-1, -1] = {"out of range": 1 << n, "overlapping": index[-1, -1] | 1 << n - 1 - top, "negative": -1}[bad]
+            return index
+
+        monkeypatch.setattr(reduction, "_block_index", broken)
+        with pytest.raises(ValueError, match=r"^purity plan for n=7: a gather index is out of range or overlaps$"):
+            reduction._purity_plan.__wrapped__(7)
 
     @pytest.mark.parametrize(
         ("n", "tops", "stack"),
@@ -131,7 +168,7 @@ class TestPurityPlan:
         batches, _, plan_stack, _ = reduction._purity_plan(n)
         assert (len(batches[0][0]), plan_stack) == (tops, stack)
 
-    @pytest.mark.parametrize(("n", "count"), [(8, 10), (12, 1), (12, 2)])
+    @pytest.mark.parametrize(("n", "count"), [(8, 10), (12, 1), (12, 2), (14, 1)])
     def test_one_workspace_per_call(self, n, count, monkeypatch):
         import tracemalloc
 
@@ -140,6 +177,12 @@ class TestPurityPlan:
         batches, masks, stack, entries = reduction._purity_plan(n)
         workers = 3 if n >= 11 else 1
         assert reduction._purity_workers(n) == workers
+        # numpy's buffered iteration gives a broadcast or strided ufunc call,
+        # the index's bitwise_or and a trace's add, two input buffers of its
+        # buffer size, 8192 entries; they run on 64 here, so that the bound
+        # below leaves no room for an array a gram call allocates
+        for name in ("add", "bitwise_or"):
+            monkeypatch.setattr(reduction.np, name, _small_buffers(getattr(np, name)))
         pure_subset_purities(amps)
         tracemalloc.start()
         try:
@@ -147,14 +190,14 @@ class TestPurityPlan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the workspace holds, per worker, the largest batch's matrices for
-        # the largest pass, and the purity sums of every state; each worker
-        # holds one gram call's gathered blocks at a time, and 8 KB a worker
-        # covers Python objects, array headers and the thread
+        # the result, the masks' complements, and one workspace: per worker,
+        # the largest batch's matrices and one gram call's gather for the
+        # largest pass, and the purity sums of every state.  Nothing a gram
+        # call gathers is allocated apart; 16 KB a worker covers Python
+        # objects, array headers, the thread and the scatter of the sums
         most = -(-count // -(-count // stack))
         workspace = (workers * most * 2 * entries + count * len(masks)) * 8
-        gather = max(reduction._BATCH_AMPLITUDES, 1 << n) * 16
-        assert peak <= workspace + workers * (2 * gather + 8192) + (count << n) * 8
+        assert peak <= workspace + workers * 16384 + (count << n) * 8 + len(masks) * 8
 
     @pytest.mark.parametrize("n", [11, 12, 13])
     def test_matches_per_subset_gram(self, n):
@@ -166,6 +209,19 @@ class TestPurityPlan:
                 keep = sorted(rng.choice(n, size=k, replace=False) + 1)
                 mask = sum(1 << (q - 1) for q in keep)
                 assert abs(purities[mask] - subset_purity(psi, keep)) <= 1e-12
+
+
+def _small_buffers(ufunc):
+    """``ufunc`` run with numpy's iteration buffers at 64 entries."""
+
+    def call(*args, **kwargs):
+        size = np.setbufsize(64)
+        try:
+            return ufunc(*args, **kwargs)
+        finally:
+            np.setbufsize(size)
+
+    return call
 
 
 def _use_cpus(monkeypatch, cpus, blas_threads=1):
@@ -193,18 +249,32 @@ def one_blas_thread():
 
 
 class TestParallelPass:
-    @pytest.mark.parametrize("n", [11, 12, 13, 14])
+    @pytest.mark.parametrize("n", range(1, 15))
     def test_rows_bit_identical_for_any_worker_count(self, n, monkeypatch, one_blas_thread):
-        pair = random_pure_stack(n, [n, 100 + n])
+        # stacks of 1, 2, 3 and 5 states (fewer at n = 13 and 14, for time;
+        # from n = 9 each pass holds one state anyway), on 1-3 workers (from
+        # n = 11), with the batch and gather budget at 2^13 and at its
+        # default: each row equals the one-state row of one worker at the
+        # default
+        sizes = {13: (1, 2), 14: (1,)}.get(n, (1, 2, 3, 5))
+        states = random_pure_stack(n, range(10 * n, 10 * n + max(sizes)))
         _use_cpus(monkeypatch, 1)
         assert reduction._purity_workers(n) == 1
-        want = pure_subset_purities(pair)
-        for cpus in (1, 2, 3):
-            _use_cpus(monkeypatch, cpus)
-            assert reduction._purity_workers(n) == cpus
-            assert pure_subset_purities(pair[:1]).tobytes() == want[:1].tobytes()
-            if cpus > 1:
-                assert pure_subset_purities(pair).tobytes() == want.tobytes()
+        want = np.concatenate([pure_subset_purities(states[i : i + 1]) for i in range(max(sizes))])
+        default = reduction._TRACE_ENTRIES
+        try:
+            for budget in (1 << 13, default):
+                with monkeypatch.context() as patch:
+                    patch.setattr(reduction, "_TRACE_ENTRIES", budget)
+                    reduction._purity_plan.cache_clear()
+                    for cpus in (1, 2, 3) if n >= 11 else (1,):
+                        _use_cpus(patch, cpus)
+                        if budget == default:
+                            assert reduction._purity_workers(n) == cpus
+                        for size in sizes:
+                            assert pure_subset_purities(states[:size]).tobytes() == want[:size].tobytes()
+        finally:
+            reduction._purity_plan.cache_clear()
 
     def test_more_workers_than_cpus_under_fast_switching(self, monkeypatch):
         # every batch writes its own slice of the sums; an overlap or a lost
@@ -247,13 +317,14 @@ class TestParallelPass:
         assert int(got) == (threads if asked == "True" else 1)
 
     def _gram_threads(self, monkeypatch, fail_on=None):
-        """Record the thread of every gram call; raise on ``fail_on``'s."""
+        """Record the thread and the tops of every gram call; raise on
+        ``fail_on``'s threads."""
         threads = []
         matmul = np.matmul
 
         def recorded(a, b, **kwargs):
-            threads.append(threading.current_thread())
-            if fail_on is not None and fail_on(threads[-1]):
+            threads.append((threading.current_thread(), a.shape[1]))
+            if fail_on is not None and fail_on(threads[-1][0]):
                 raise RuntimeError("gram failed")
             return matmul(a, b, **kwargs)
 
@@ -266,11 +337,11 @@ class TestParallelPass:
         before = threading.active_count()
         pure_subset_purities(random_pure_stack(12, [1]))
         assert threading.active_count() == before
-        # two tops a gram call at n = 12, batch i on worker i mod 2
-        calls = [-(-len(rows) // 2) for rows, *_ in reduction._purity_plan(12)[0]]
-        assert len(threads) == sum(calls)
-        assert sum(t is threading.main_thread() for t in threads) == sum(calls[::2])
-        assert len(set(threads)) == 2
+        # one gram call a batch at n = 12, of all its tops, batch i on worker i mod 2
+        tops = [len(rows) for rows, *_ in reduction._purity_plan(12)[0]]
+        assert sorted(blocks for _, blocks in threads) == sorted(tops)
+        assert sorted(blocks for t, blocks in threads if t is threading.main_thread()) == sorted(tops[::2])
+        assert len({t for t, _ in threads}) == 2
 
     def test_each_worker_keeps_to_its_own_cpu(self, monkeypatch):
         # the machine's own CPUs: worker w on the w-th, the caller left as it was
@@ -304,7 +375,7 @@ class TestParallelPass:
         with pytest.raises(RuntimeError, match="gram failed"):
             pure_subset_purities(random_pure_stack(12, [1]))
         assert threading.active_count() == before
-        assert len(set(threads)) == 3
+        assert len({t for t, _ in threads}) == 3
 
     def test_public_functions_run_on_the_calling_thread(self, monkeypatch):
         # a span tracer rebinds every public mqinfo function and keeps one
@@ -343,7 +414,7 @@ class TestParallelPass:
         names = {name for name, _ in calls}
         assert {"random_pure", "all_infos_fast", "pure_subset_purities", "PureState.__post_init__"} <= names
         assert all(thread is threading.main_thread() for _, thread in calls)
-        assert len(set(threads)) == 2
+        assert len({t for t, _ in threads}) == 2
 
 
 class TestSpinFlip:
