@@ -5,10 +5,11 @@ partial trace contracts amplitudes directly (never forms the full density
 matrix), and the all-subset purity pass derives small reduced matrices from
 larger ones, which is what makes the fast path cheap.  The pass takes a
 stack of states, one per row, and up to n = 8 runs several states through
-each batch together.  It allocates one workspace per call and writes every
-array into it, the gathered Schmidt blocks and their gather index too, so a
-fresh process's first pass at n = 14 takes about 800 minor page faults, not
-220,000 (``BENCH_23.json``).  From n = 11 up, where a batch's grams come to 2^21
+each batch together.  It allocates one workspace per call and writes all
+its own arrays into it, the gathered Schmidt blocks and their gather index
+too, so a fresh process's first pass at n = 14 takes about 800 minor page
+faults, not 220,000 (``BENCH_23.json``); numpy's ufunc iteration buffers
+are still allocated per call.  From n = 11 up, where a batch's grams come to 2^21
 complex multiply-adds or more, the batches run on several workers: the
 calling thread, and threads started and joined within the call, each kept
 to a CPU of its own.  There are as many as the CPUs the process may run on
@@ -279,12 +280,13 @@ def pure_subset_purities(amps):
     n = 12).  Batch i runs on worker i mod W, W being
     ``_purity_workers(n)`` (1 below n = 11); worker 0 is the calling
     thread.  Each worker has its own region of one workspace allocated once
-    per call, and every array a batch needs is a view into it: the grams
+    per call, and every array a batch writes is a view into it: the grams
     first, then, during a gram call, the gather index, the gathered Schmidt
     blocks and their conjugates, and after the grams the traced matrices,
-    which take that space over.  Each batch writes the purity sums of its
-    own slice.  Every row equals the one-state result bit for bit,
-    whatever W.
+    which take that space over.  (numpy allocates its own iteration buffers
+    for the index's ``bitwise_or`` and the traces' ``add``.)  Each batch
+    writes the purity sums of its own slice.  Every row equals the
+    one-state result bit for bit, whatever W.
     """
     count, dim = amps.shape
     n = dim.bit_length() - 1

@@ -170,34 +170,21 @@ class TestPurityPlan:
 
     @pytest.mark.parametrize(("n", "count"), [(8, 10), (12, 1), (12, 2), (14, 1)])
     def test_one_workspace_per_call(self, n, count, monkeypatch):
-        import tracemalloc
-
-        _use_cpus(monkeypatch, 3)
-        amps = random_pure_stack(n, range(count))
-        batches, masks, stack, entries = reduction._purity_plan(n)
-        workers = 3 if n >= 11 else 1
-        assert reduction._purity_workers(n) == workers
         # numpy's buffered iteration gives a broadcast or strided ufunc call,
         # the index's bitwise_or and a trace's add, two input buffers of its
         # buffer size, 8192 entries; they run on 64 here, so that the bound
-        # below leaves no room for an array a gram call allocates
-        for name in ("add", "bitwise_or"):
-            monkeypatch.setattr(reduction.np, name, _small_buffers(getattr(np, name)))
-        pure_subset_purities(amps)
-        tracemalloc.start()
-        try:
-            pure_subset_purities(amps)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the result, the masks' complements, and one workspace: per worker,
-        # the largest batch's matrices and one gram call's gather for the
-        # largest pass, and the purity sums of every state.  Nothing a gram
-        # call gathers is allocated apart; 16 KB a worker covers Python
-        # objects, array headers, the thread and the scatter of the sums
-        most = -(-count // -(-count // stack))
-        workspace = (workers * most * 2 * entries + count * len(masks)) * 8
-        assert peak <= workspace + workers * 16384 + (count << n) * 8 + len(masks) * 8
+        # leaves no room for an array a gram call allocates
+        peak, bound = _pass_peak_and_bound(n, count, monkeypatch, small_buffers=True)
+        assert peak <= bound
+
+    @pytest.mark.parametrize(("n", "count"), [(8, 10), (12, 1), (12, 2), (14, 1)])
+    def test_one_workspace_and_numpy_buffers_per_call(self, n, count, monkeypatch):
+        # what the pass allocates as it runs: the same bound, plus, per
+        # worker, the two iteration buffers numpy gives a ufunc call at its
+        # buffer size, of complex entries at most (a trace's add)
+        peak, bound = _pass_peak_and_bound(n, count, monkeypatch)
+        workers = reduction._purity_workers(n)
+        assert peak <= bound + workers * 2 * np.getbufsize() * 16
 
     @pytest.mark.parametrize("n", [11, 12, 13])
     def test_matches_per_subset_gram(self, n):
@@ -209,6 +196,38 @@ class TestPurityPlan:
                 keep = sorted(rng.choice(n, size=k, replace=False) + 1)
                 mask = sum(1 << (q - 1) for q in keep)
                 assert abs(purities[mask] - subset_purity(psi, keep)) <= 1e-12
+
+
+def _pass_peak_and_bound(n, count, monkeypatch, small_buffers=False):
+    """The peak tracemalloc sees in a warm ``pure_subset_purities`` call on
+    ``count`` states at n, three CPUs, and the bound the pass's own arrays
+    keep: the result, the masks' complements, and one workspace holding,
+    per worker, the largest batch's matrices and one gram call's gather for
+    the largest pass, and the purity sums of every state.  Nothing a gram
+    call gathers is allocated apart; 16 KB a worker covers Python objects,
+    array headers, the thread and the scatter of the sums.  With
+    ``small_buffers`` numpy's ``add`` and ``bitwise_or`` run on iteration
+    buffers of 64 entries, once the plan is built."""
+    import tracemalloc
+
+    _use_cpus(monkeypatch, 3)
+    amps = random_pure_stack(n, range(count))
+    batches, masks, stack, entries = reduction._purity_plan(n)
+    workers = 3 if n >= 11 else 1
+    assert reduction._purity_workers(n) == workers
+    if small_buffers:
+        for name in ("add", "bitwise_or"):
+            monkeypatch.setattr(reduction.np, name, _small_buffers(getattr(np, name)))
+    pure_subset_purities(amps)
+    tracemalloc.start()
+    try:
+        pure_subset_purities(amps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    most = -(-count // -(-count // stack))
+    workspace = (workers * most * 2 * entries + count * len(masks)) * 8
+    return peak, workspace + workers * 16384 + (count << n) * 8 + len(masks) * 8
 
 
 def _small_buffers(ufunc):
@@ -251,12 +270,12 @@ def one_blas_thread():
 class TestParallelPass:
     @pytest.mark.parametrize("n", range(1, 15))
     def test_rows_bit_identical_for_any_worker_count(self, n, monkeypatch, one_blas_thread):
-        # stacks of 1, 2, 3 and 5 states (fewer at n = 13 and 14, for time;
-        # from n = 9 each pass holds one state anyway), on 1-3 workers (from
-        # n = 11), with the batch and gather budget at 2^13 and at its
-        # default: each row equals the one-state row of one worker at the
-        # default
-        sizes = {13: (1, 2), 14: (1,)}.get(n, (1, 2, 3, 5))
+        # stacks of 1, 2, 3 and 5 states (1 and 2 at n = 13 and 14, for time;
+        # from n = 9 each pass holds one state, so 2 states already take two
+        # passes), on 1-3 workers (from n = 11), with the batch and gather
+        # budget at 2^13 and at its default: each row equals the one-state
+        # row of one worker at the default
+        sizes = (1, 2) if n >= 13 else (1, 2, 3, 5)
         states = random_pure_stack(n, range(10 * n, 10 * n + max(sizes)))
         _use_cpus(monkeypatch, 1)
         assert reduction._purity_workers(n) == 1
