@@ -22,10 +22,12 @@ seeds in [0, 2^128) is seeded in one batch: numpy's ``SeedSequence`` hashes
 each such seed as one four-word entropy pool, and that hashing (pool fill,
 four all-pairs rounds, ``generate_state``) runs as uint32 array steps over
 every seed at once; PCG64's 128-bit seeding (inc = 2 initseq + 1, state =
-(inc + initstate) M + inc) puts one PCG64 per call into each seed's state.
-A lone seed, a block holding any other seed (negative, non-integer, or of
-2^128 or more), and every block when a one-time check finds that the batch
-route differs from ``default_rng`` (a numpy whose seeding changed), go to
+(inc + initstate) M + inc) gives each seed's starting state, which is
+written as four 64-bit words into the C state of a PCG64 that calls reuse,
+its buffered 32-bit word cleared (``_pcg_generators``).  A lone seed, a
+block holding any other seed (negative, non-integer, or of 2^128 or more),
+and every block when a one-time check finds that the batch route differs
+from ``default_rng`` (a numpy whose seeding or PCG64 layout changed), go to
 ``default_rng`` itself.  A fuzz call draws all its chunks from one
 ``_Draws``, so its seeds are hashed a block at a time, not a chunk at a time.
 
@@ -39,6 +41,7 @@ every drawn matrix passes ``_check_density`` exactly once; a fuzz witness is
 a read-only copy of its validated row (``_from_validated``), not checked again.
 """
 
+import ctypes
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -256,6 +259,7 @@ _HASH_STATE = (0x8B51F9DD, 0x58F38DED)  # INIT_B, MULT_B: pool into generate_sta
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)  # mix(x, y) = L x - R y
 _XSHIFT = np.uint32(16)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 # seeds read and hashed at once: every chunk of a fuzz call of up to this
 # many trials shares one hashing, and a longer call holds no more seeds
@@ -299,7 +303,8 @@ def _hashmix(values, xor, mult):
 
 def _pcg_seeds(words):
     """PCG64 (state, inc) of ``default_rng`` for each row of a (G, 4) uint32
-    array of seed words (least significant first, zero-padded)."""
+    array of seed words (least significant first, zero-padded), as the four
+    64-bit words (state low, state high, inc low, inc high)."""
     pool = _hashmix(words, *_POOL_FILL)
     for src, (xor, mult) in enumerate(_POOL_ROUNDS):
         hashed = _hashmix(pool[:, src:src + 1], xor, mult)
@@ -316,40 +321,73 @@ def _pcg_seeds(words):
         # PCG64's seeding: inc = 2 initseq + 1, state = (inc + initstate) M + inc
         inc = ((seq_hi << 65) | (seq_lo << 1) | 1) & _MASK128
         initstate = (init_hi << 64) | init_lo
-        seeded.append((((inc + initstate) * _PCG_MULT + inc) & _MASK128, inc))
+        state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
+        seeded.append((state & _MASK64, state >> 64, inc & _MASK64, inc >> 64))
     return seeded
+
+
+# the _reseedable_generator triples that no open _pcg_generators call holds
+_IDLE_GENERATORS = []
+
+
+def _reseedable_generator():
+    """A PCG64 Generator with ctypes views of the fields a reseed writes.
+
+    numpy's ``pcg64_state`` (``ctypes.state_address``) is a pointer to the
+    (state, inc) pair of 128-bit integers, stored low word first on a
+    little-endian build, then ``has_uint32`` and ``uinteger``, the buffered
+    half of a 64-bit draw.  ``_batch_seeding_matches`` checks this layout
+    before the batch route is used."""
+    bit_generator = np.random.PCG64(0)
+    address = bit_generator.ctypes.state_address
+    pair = (ctypes.c_uint64 * 4).from_address(ctypes.c_void_p.from_address(address).value)
+    buffered = (ctypes.c_uint32 * 2).from_address(address + ctypes.sizeof(ctypes.c_void_p))
+    return np.random.Generator(bit_generator), pair, buffered
 
 
 def _pcg_generators(seeds):
     """Yield one Generator per int seed in [0, 2^128), in ``default_rng(seed)``'s
-    starting state.  It is one Generator, reseeded: draw before advancing."""
+    starting state.  It is one Generator, reseeded: draw before advancing.
+
+    A reseed writes the seed's four 64-bit words into PCG64's C state and
+    clears the buffered word, so that none passes to the next seed; a state
+    dict, which numpy parses, took about 1.4 us a seed against 0.2.  The
+    Generator is taken from ``_IDLE_GENERATORS`` and put back when this
+    iterator is closed or dropped, so a process builds one per concurrently
+    open call: between a benchmark's operations a new PCG64 and its ctypes
+    interface took about 100 us, more than the reseeds of 10 seeds save
+    (``BENCH_24.json``)."""
     raw = b"".join(seed.to_bytes(4 * _POOL_SIZE, "little") for seed in seeds)
     words = np.frombuffer(raw, dtype="<u4").reshape(len(seeds), _POOL_SIZE)
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    for state, inc in _pcg_seeds(words):
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
+    try:
+        generator = _IDLE_GENERATORS.pop()
+    except IndexError:
+        generator = _reseedable_generator()
+    rng, pair, buffered = generator
+    try:
+        for seeded in _pcg_seeds(words):
+            pair[:] = seeded
+            buffered[:] = (0, 0)
+            yield rng
+    finally:
+        _IDLE_GENERATORS.append(generator)
 
 
 @cache
 def _batch_seeding_matches():
-    """Whether the batch route draws what default_rng draws, on seeds of 1, 2
-    and 4 words; checked once per process."""
+    """Whether the batch route gives each seed ``default_rng(seed)``'s whole
+    PCG64 state, on seeds of 1, 2 and 4 words, the second and third reseeds
+    following a 32-bit draw that leaves a buffered word; checked once per
+    process."""
     seeds = [0, 2**32 + 7, 2**96 + 11]
-    try:
-        draws = [rng.standard_normal(4) for rng in _pcg_generators(seeds)]
-    except (KeyError, TypeError, ValueError):  # a PCG64 whose state layout changed
+    try:  # a PCG64 without the ctypes interface, or whose state layout changed
+        for rng, seed in zip(_pcg_generators(seeds), seeds):
+            if rng.bit_generator.state != np.random.default_rng(seed).bit_generator.state:
+                return False
+            rng.integers(16, dtype=np.uint32)
+    except (AttributeError, KeyError, OSError, TypeError, ValueError):
         return False
-    return all(
-        np.array_equal(draw, np.random.default_rng(seed).standard_normal(4))
-        for draw, seed in zip(draws, seeds)
-    )
+    return True
 
 
 def _seeded_generators(seeds):

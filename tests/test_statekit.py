@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -304,6 +306,99 @@ class TestBatchSeeding:
     def test_self_check_catches_a_wrong_route(self, monkeypatch):
         monkeypatch.setattr(statekit, "_PCG_MULT", statekit._PCG_MULT + 2)
         assert not statekit._batch_seeding_matches.__wrapped__()
+
+    def test_states_match_default_rng_after_a_buffered_draw(self):
+        for rng, seed in zip(statekit._pcg_generators(BATCH_SEEDS), BATCH_SEEDS):
+            assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+            rng.integers(16, dtype=np.uint32)  # buffers the other half of a 64-bit draw
+            assert rng.bit_generator.state["has_uint32"] == 1
+
+    def _check_fallback(self, monkeypatch):
+        """The self-check fails, and a batch of seeds draws default_rng's states."""
+        assert not statekit._batch_seeding_matches.__wrapped__()
+        monkeypatch.setattr(statekit, "_batch_seeding_matches", statekit._batch_seeding_matches.__wrapped__)
+        stack = statekit.random_pure_stack(3, BATCH_SEEDS)
+        for seed, row in zip(BATCH_SEEDS, stack):
+            assert np.array_equal(row, _reference_pure(3, seed))
+
+    def test_wrong_half_order_takes_default_rng(self, monkeypatch):
+        seeds = statekit._pcg_seeds
+
+        def high_first(words):  # the layout of a build that stores 128-bit words high first
+            return [(s_hi, s_lo, i_hi, i_lo) for s_lo, s_hi, i_lo, i_hi in seeds(words)]
+
+        monkeypatch.setattr(statekit, "_pcg_seeds", high_first)
+        self._check_fallback(monkeypatch)
+
+    @pytest.mark.parametrize("error", [AttributeError, OSError])
+    def test_pcg64_without_ctypes_takes_default_rng(self, error, monkeypatch):
+        class NoCtypes(np.random.PCG64):
+            @property
+            def ctypes(self):
+                raise error("no ctypes interface")
+
+        monkeypatch.setattr(np.random, "PCG64", NoCtypes)
+        monkeypatch.setattr(statekit, "_IDLE_GENERATORS", [])
+        self._check_fallback(monkeypatch)
+
+    def test_open_calls_reseed_their_own_generators(self):
+        first = statekit._pcg_generators(BATCH_SEEDS)
+        second = statekit._pcg_generators(BATCH_SEEDS[::-1])
+        for a, b, seed_a, seed_b in zip(first, second, BATCH_SEEDS, BATCH_SEEDS[::-1]):
+            assert a is not b
+            assert np.array_equal(a.standard_normal(8), np.random.default_rng(seed_a).standard_normal(8))
+            assert np.array_equal(b.standard_normal(8), np.random.default_rng(seed_b).standard_normal(8))
+
+    def test_a_finished_call_gives_its_generator_back(self, monkeypatch):
+        built = []
+        make = statekit._reseedable_generator
+
+        def build():
+            built.append(make())
+            return built[-1]
+
+        monkeypatch.setattr(statekit, "_IDLE_GENERATORS", [])
+        monkeypatch.setattr(statekit, "_reseedable_generator", build)
+        for n in (1, 3):
+            for seeds in (BATCH_SEEDS, BATCH_SEEDS[:2]):
+                stack = _on_its_route(lambda s: statekit.random_pure_stack(n, s), seeds)
+                for seed, row in zip(seeds, stack):
+                    assert np.array_equal(row, _reference_pure(n, seed))
+        assert len(built) == 1 and statekit._IDLE_GENERATORS == built
+
+    def test_threads_reseed_their_own_generators(self):
+        # more threads than CPUs, switching every microsecond: a generator that
+        # two open calls shared would give one of them another seed's state
+        blocks = [[1000 * t + k for k in range(6)] for t in range(6)]
+        expected = [np.array([_reference_pure(2, seed) for seed in block]) for block in blocks]
+        wrong = []
+
+        def draw(t):
+            for _ in range(50):
+                if not np.array_equal(statekit.random_pure_stack(2, blocks[t]), expected[t]):
+                    wrong.append(t)
+
+        assert statekit._batch_seeding_matches()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(t,)) for t in range(len(blocks))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_second_seed_block_is_reseeded_by_its_own_call(self):
+        # 4,098 seeds are a block of 4,096 and a block of 2, each batch-seeded
+        # by its own _pcg_generators call, which takes the generator back up
+        seeds = list(range(statekit._SEED_BLOCK + 2))
+        stack = _on_its_route(lambda s: statekit.random_pure_stack(1, s), seeds)
+        for seed in seeds[-4:]:
+            assert np.array_equal(stack[seed], _reference_pure(1, seed))
 
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_pure_rows_match_default_rng(self, n):
