@@ -406,4 +406,4 @@ def entry():
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

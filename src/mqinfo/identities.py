@@ -45,7 +45,7 @@ from .measures import (
     n_tangles,
     spectrum_values,
 )
-from .reduction import _BATCH_AMPLITUDES, pure_subset_purities
+from .reduction import pure_subset_purities
 from .statekit import (
     MAX_MIXED_QUBITS,
     MAX_QUBITS,
@@ -437,6 +437,8 @@ def _check(name, state, table, tol, **case):
 # ---------------------------------------------------------------------------
 
 MAX_TRIALS = 1_000_003
+# amplitudes (matrix entries for density matrices) of one fuzz chunk's states
+_BATCH_AMPLITUDES = 1 << 13
 
 
 def derive_seed(base_seed, trial):
@@ -492,6 +494,9 @@ def fuzz(names, n, trials, base_seed, tol=EQ_TOL, rank=None):
     # more trials than MAX_TRIALS would reuse the next base seed's states
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
+    if not _is_integer(base_seed) or base_seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {base_seed!r}")
+    base_seed = int(base_seed)
     _check_tol(tol)
     pure = idents[0].kind == "pure"
     if pure and rank is not None:

@@ -3,24 +3,24 @@
 Reduced matrices keep qubits in ascending original index.  The pure-state
 partial trace contracts amplitudes directly (never forms the full density
 matrix), and the all-subset purity pass derives small reduced matrices from
-larger ones, which is what makes the fast path cheap.  The pass takes a
-stack of states, one per row, and up to n = 8 runs several states through
-each batch together.  It allocates one workspace per call and writes all
-its own arrays into it, the gathered Schmidt blocks and their gather index
-too, so a fresh process's first pass at n = 14 takes about 800 minor page
-faults, not 220,000 (``BENCH_23.json``); numpy's ufunc iteration buffers
-are still allocated per call.  From n = 11 up, where a batch's grams come to 2^21
-complex multiply-adds or more, the batches run on several workers: the
-calling thread, and threads started and joined within the call, each kept
-to a CPU of its own.  There are as many as the CPUs the process may run on
-divided by the threads BLAS runs a product on, so under OpenBLAS's default
-of a thread per CPU the pass stays on the calling thread.  On a 2-CPU x86
-host with one BLAS thread two workers ran the pass 1.3x faster at n = 11
-and 1.5-1.9x at n = 12-14 (``BENCH_20.json``); n = 10, at 1.1x, stays on
-one worker with every smaller n, so a pass of a few milliseconds or less
-starts no thread.  ``partial_trace``, ``purity``, ``spin_flip`` and
-``tilde_overlap`` on density matrices are no part of any check: they are
-the tests' oracle for the purities and overlaps of the Pauli-spectrum route.
+larger ones, which is what makes the fast path cheap.  Its plan names every
+subset by its mask, bit q-1 standing for qubit q, as every table does.  The
+pass takes a stack of states, one per row, and runs as many states through
+each batch together as fit beside the batch's tops (several up to n = 8).
+It allocates one workspace per call and writes all its own arrays into it,
+the gathered Schmidt blocks, their gather index and the (subset, state)
+purity sums too, so no gram call allocates an array of its own (a fresh
+process's first pass would fault in every one); numpy's ufunc iteration
+buffers are still allocated per call.  From n = 11 up, where a batch's
+grams come to 2^21 complex multiply-adds or more, the batches run on
+several workers: the calling thread, and threads started and joined within
+the call, each kept to a CPU of its own.  There are as many as the CPUs the
+process may run on divided by the threads BLAS runs a product on, so under
+OpenBLAS's default of a thread per CPU the pass stays on the calling
+thread; below n = 11 a pass is too short to share, and starts no thread.
+``partial_trace``, ``purity``, ``spin_flip`` and ``tilde_overlap`` on
+density matrices are no part of any check: they are the tests' oracle for
+the purities and overlaps of the Pauli-spectrum route.
 """
 
 import contextlib
@@ -28,7 +28,6 @@ import ctypes
 import os
 import threading
 from functools import cache
-from itertools import combinations
 
 import numpy as np
 
@@ -87,9 +86,6 @@ def subset_purity(psi, keep):
     return float(np.sum(np.abs(gram) ** 2))
 
 
-# amplitudes of the states pure_subset_purities stacks through one batch,
-# and of the chunks of states the fuzz driver stacks
-_BATCH_AMPLITUDES = 1 << 13
 # (top, state) gram entries per batch, which the traces and purity sums
 # share, and amplitudes gathered per gram call
 _TRACE_ENTRIES = 1 << 15
@@ -98,76 +94,73 @@ _TRACE_ENTRIES = 1 << 15
 _SPREAD_MACS = 1 << 21
 
 
-def _leading_run(axes):
-    """How many of the axes 0, 1, 2, ... a sorted axis tuple starts with."""
-    return next((i for i, a in enumerate(axes) if a != i), len(axes))
+def _block_index(n, masks):
+    """Amplitude indices of each subset's digits, most significant first.
 
-
-def _block_index(n, axes):
-    """Amplitude indices of each axis tuple's digits, most significant first.
-
-    ``axes`` is (T, k); row t of the (T, 2^k) result maps each k-bit number
-    to the amplitude index its bits select along ``axes[t]``, axis a being
-    bit n-1-a of an amplitude index.
+    ``masks`` holds T subsets of k qubits each, bit q-1 standing for qubit
+    q; row t of the (T, 2^k) result maps each k-bit number to the amplitude
+    index its bits select on subset t's qubits in ascending order, qubit q
+    being bit n-q of an amplitude index.
     """
-    k = axes.shape[1]
-    bits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    return (1 << (n - 1 - axes)) @ bits.T
+    k = int(np.bitwise_count(masks).max(initial=0))
+    bit = np.nonzero(masks[:, None] >> np.arange(n) & 1)[1].reshape(len(masks), k)
+    digits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    return (1 << (n - 1 - bit)) @ digits.T
 
 
 @cache
 def _purity_plan(n):
     """How ``pure_subset_purities`` runs for n qubits, built once per n.
 
-    Returns (batches, masks, stack, entries).  A top is a floor(n/2)-qubit
-    subset, whose reduced matrix is a gram of its Schmidt block.  A batch
-    holds as many (top, state) grams as fit ``_TRACE_ENTRIES`` entries:
-    where one state's tops all fit, one batch holds them and ``stack``
-    states share it (3 at n = 8), no more than keep one top's blocks within
-    ``_BATCH_AMPLITUDES``; otherwise ``stack`` is 1 (8 tops a batch at
-    n = 12).  Each batch is (rows, cols, levels, offset); ``rows | cols``
-    indexes the amplitudes into its tops' Schmidt blocks, checked here to
-    lie below 2^n, and ``offset`` counts the subsets of the batches before
-    it, so a batch's purity sums are its own slice of a pass's.
-    ``levels`` holds, per smaller subset size, (count, dim, groups); a group
-    (parents, lo, hi) traces qubit q out of the first ``parents`` > 0
-    matrices of the level above, lo = 2^(q-1) and hi being the dimensions
-    of the factors before and after it.  ``masks`` gives every matrix's
-    subset, batch after batch, and ``entries`` the most matrix entries one
-    state takes in a batch: its grams, and after them the larger of its
-    traced matrices and the gathered blocks and conjugates of one gram
-    call, of as many tops as fit ``_TRACE_ENTRIES`` amplitudes.
+    Returns (batches, masks, stack, entries), every subset a mask, bit q-1
+    standing for qubit q.  A top is a floor(n/2)-qubit subset, holding
+    qubit 1 when n is even, whose reduced matrix is a gram of its Schmidt
+    block.  A batch holds as many (top, state) grams as fit
+    ``_TRACE_ENTRIES`` entries, and ``stack`` states share each batch, as
+    many as fit beside all the tops: 3 at n = 8, 1 from n = 9 (8 tops a
+    batch at n = 12).  Each batch is (rows, cols, levels, offset);
+    ``rows | cols`` indexes the amplitudes into its tops' Schmidt blocks,
+    checked here to lie below 2^n, and ``offset`` is the first of its
+    subsets in ``masks``, which holds every matrix's subset, batch after
+    batch.  ``levels`` holds, per smaller subset size, (count, dim,
+    groups); a group (parents, lo, hi) traces qubit q out of the first
+    ``parents`` > 0 matrices of the level above, lo = 2^(q-1) and hi being
+    the dimensions of the factors before and after it.  ``entries`` is the
+    most matrix entries one state takes in a batch: its grams, and after
+    them the larger of its traced matrices and the gathered blocks and
+    conjugates of one gram call, of as many tops as fit ``_TRACE_ENTRIES``
+    amplitudes.
 
-    A subset holding qubits 1..r (not r+1) is the parent of one child per
-    q <= r, the subset without qubit q, which holds 1..q-1 and not q.  With
-    each level sorted by r, most first, the parents for q lead the level,
-    and the children listed for q = k, ..., 1 come out sorted.
+    A subset whose run of trailing ones is r (qubits 1..r, not r+1) is the
+    parent of one child per q <= r, itself less qubit q: mask ^ 2^(q-1),
+    whose run is q-1.  With each level sorted by run, most first, the
+    parents for q lead the level, and the children listed for q = k, ...,
+    1 come out sorted.
     """
-    half = n // 2
-    tops = [t for t in combinations(range(n), half) if half and (2 * half < n or t[0] == 0)]
-    tops.sort(key=_leading_run, reverse=True)
+    half, full = n // 2, (1 << n) - 1
+    every = np.arange(1 << n)
+    tops = every[(np.bitwise_count(every) == half) & ((every | n) & 1 == 1)] if half else every[:0]
+    tops = tops[np.argsort(-np.bitwise_count(tops ^ tops + 1).astype(int), kind="stable")]
     per_batch = max(1, _TRACE_ENTRIES >> 2 * half)
     step = min(per_batch, len(tops)) or 1
-    stack = max(1, min(per_batch // max(1, len(tops)), _BATCH_AMPLITUDES >> n))
-    rest = [[a for a in range(n) if a not in t] for t in tops]
-    rows = _block_index(n, np.array(tops, dtype=np.intp).reshape(len(tops), half))[:, :, None]
-    cols = _block_index(n, np.array(rest, dtype=np.intp).reshape(len(tops), n - half))[:, None, :]
+    stack = max(1, per_batch // max(1, len(tops)))
+    rows = _block_index(n, tops)[:, :, None]
+    cols = _block_index(n, full ^ tops)[:, None, :]
     _check_gather(n, rows, cols)
     batches, masks, entries = [], [], 0
     for start in range(0, len(tops), step):
-        level = subsets = tops[start : start + step]
-        levels = []
+        level = tops[start : start + step].tolist()
+        offset, levels = len(masks), []
+        masks += level
         for k in range(half, 1, -1):
-            runs = [_leading_run(s) for s in level]
-            qs = range(k, 0, -1)
-            groups = [(sum(r >= q for r in runs), 1 << (q - 1), 1 << (k - q)) for q in qs]
-            level = [s[: q - 1] + s[q:] for q, g in zip(qs, groups) for s in level[: g[0]]]
+            runs = [(s ^ s + 1).bit_length() - 1 for s in level]
+            groups = [(sum(r >= q for r in runs), 1 << q - 1, 1 << k - q) for q in range(k, 0, -1)]
+            level = [s ^ lo for parents, lo, _ in groups for s in level[:parents]]
             if not level:
                 break
-            levels.append((len(level), 1 << (k - 1), [g for g in groups if g[0]]))
-            subsets = subsets + level
-        batches.append((rows[start : start + step], cols[start : start + step], levels, len(masks)))
-        masks += [sum(1 << a for a in s) for s in subsets]
+            levels.append((len(level), 1 << k - 1, [g for g in groups if g[0]]))
+            masks += level
+        batches.append((rows[start : start + step], cols[start : start + step], levels, offset))
         traced = sum(count * dim * dim for count, dim, _ in levels)
         gathered = 2 * min(len(batches[-1][0]), _TRACE_ENTRIES >> n) << n
         entries = max(entries, (len(batches[-1][0]) << 2 * half) + max(traced, gathered))
@@ -260,18 +253,18 @@ def _on_workers(run, workers):
 def pure_subset_purities(amps):
     """tr(rho_S^2) for every qubit subset S of each pure state in a stack.
 
-    ``amps`` is a (B, 2^n) array of normalized amplitude vectors; the result
-    is (B, 2^n), row b indexed by subset mask, bit (i-1) standing for qubit
-    i, with entry 0, the empty set, equal to 1.  Only the |S| = floor(n/2)
-    subsets (those holding qubit 1 when n is even) take a Schmidt-block
-    gram of the amplitudes.  Every smaller subset's reduced matrix is its
-    parent's partial trace over one qubit, the parent being S plus the
-    lowest qubit S lacks, so each subset is reached once; the traces and
-    the purity sums run one subset size at a time over a whole batch.  A
-    larger subset takes its complement's purity (equal for a pure state),
-    except the full set, whose tr(rho^2) = <psi|psi>^2 comes from the
-    amplitudes, one ``vecdot`` over the stack, so a normalisation error
-    stays visible.
+    ``amps`` is a (B, 2^n) array of normalized amplitude vectors, taken as
+    complex128 (a complex128 stack is not copied); the result is (B, 2^n),
+    row b indexed by subset mask, bit (i-1) standing for qubit i, with entry
+    0, the empty set, equal to 1.  Only the |S| = floor(n/2) subsets (those
+    holding qubit 1 when n is even) take a Schmidt-block gram of the
+    amplitudes.  Every smaller subset's reduced matrix is its parent's
+    partial trace over one qubit, the parent being S plus the lowest qubit
+    S lacks, so each subset is reached once; the traces and the purity sums
+    run one subset size at a time over a whole batch.  A larger subset
+    takes its complement's purity (equal for a pure state), except the full
+    set, whose tr(rho^2) = <psi|psi>^2 comes from the amplitudes, one
+    ``vecdot`` over the stack, so a normalisation error stays visible.
 
     The states go through the batches of ``_purity_plan(n)`` in passes of
     at most ``stack`` states, whose sizes differ by at most one.  A gram
@@ -284,10 +277,14 @@ def pure_subset_purities(amps):
     first, then, during a gram call, the gather index, the gathered Schmidt
     blocks and their conjugates, and after the grams the traced matrices,
     which take that space over.  (numpy allocates its own iteration buffers
-    for the index's ``bitwise_or`` and the traces' ``add``.)  Each batch
-    writes the purity sums of its own slice.  Every row equals the
-    one-state result bit for bit, whatever W.
+    for the index's ``bitwise_or`` and the traces' ``add``.)  The purity
+    sums are one (subset, state) array, the plan's ``masks`` by the stack,
+    in the same workspace; each batch writes its subsets' rows for its
+    pass's states in place, and one scatter puts every sum at its mask and
+    its complement's.  Every row equals the one-state result bit for bit,
+    whatever W.
     """
+    amps = np.asarray(amps, dtype=np.complex128)
     count, dim = amps.shape
     n = dim.bit_length() - 1
     full = dim - 1
@@ -303,8 +300,8 @@ def pure_subset_purities(amps):
     region = 2 * most * entries
     per_call = max(1, (_TRACE_ENTRIES >> n) // most)
     workers = _purity_workers(n)
-    work = np.empty(workers * region + count * len(masks))
-    sums = work[workers * region :]
+    work = np.empty(workers * region + len(masks) * count)
+    sums = work[workers * region :].reshape(len(masks), count)
     width = 1 << n // 2
 
     def run(w):
@@ -340,16 +337,14 @@ def pure_subset_purities(amps):
                         np.add(t[:, :, 0, :, :, 0], t[:, :, 1, :, :, 1], out=out)
                         kid += parents * b
                     mats.append(kids)
-                at = start * len(masks) + offset * b
+                at = offset
                 for m in mats:
-                    f = m.reshape(len(m), -1).view(np.float64)
-                    np.vecdot(f, f, out=sums[at : at + len(m)])
-                    at += len(m)
+                    f = m.reshape(-1, b, m[0].size).view(np.float64)
+                    np.vecdot(f, f, out=sums[at : at + len(f), start:end])
+                    at += len(f)
 
     _on_workers(run, workers)
-    for start, end in zip(bounds, bounds[1:]):
-        found = sums[start * len(masks) : end * len(masks)].reshape(-1, end - start).T
-        purities[start:end, masks] = purities[start:end, full ^ masks] = found
+    purities[:, masks] = purities[:, full ^ masks] = sums.T
     return purities
 
 

@@ -350,13 +350,12 @@ def _pcg_generators(seeds):
     starting state.  It is one Generator, reseeded: draw before advancing.
 
     A reseed writes the seed's four 64-bit words into PCG64's C state and
-    clears the buffered word, so that none passes to the next seed; a state
-    dict, which numpy parses, took about 1.4 us a seed against 0.2.  The
+    clears the buffered word, so that none passes to the next seed; setting
+    a state dict, which numpy parses, costs several times as much.  The
     Generator is taken from ``_IDLE_GENERATORS`` and put back when this
     iterator is closed or dropped, so a process builds one per concurrently
-    open call: between a benchmark's operations a new PCG64 and its ctypes
-    interface took about 100 us, more than the reseeds of 10 seeds save
-    (``BENCH_24.json``)."""
+    open call: a new PCG64 and its ctypes interface cost more than the
+    reseeds of a few states save."""
     raw = b"".join(seed.to_bytes(4 * _POOL_SIZE, "little") for seed in seeds)
     words = np.frombuffer(raw, dtype="<u4").reshape(len(seeds), _POOL_SIZE)
     try:

@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import mqinfo as mq
-from mqinfo import cli
+from mqinfo import cli, reduction
 from mqinfo.cli import build_parser, main
 from mqinfo.identities import EQ_TOL, IDENTITIES, MIXED_IDENTITIES, PURE_IDENTITIES, applicable
 from mqinfo.statekit import PSD_TOL
@@ -386,6 +387,12 @@ class TestFuzz:
         assert err.startswith("error: trials must be between 1 and 1000003")
         assert err.count("\n") == 1
 
+    def test_negative_seed_exit_2(self, capsys):
+        assert main(["fuzz", "--n", "3", "--trials", "2", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+
 
 class TestMixedCheck:
     def test_random_pairs(self, capsys):
@@ -420,6 +427,12 @@ class TestMixedCheck:
         err = capsys.readouterr().err
         assert err.startswith("error: trials must be between 1 and 1000003")
         assert err.count("\n") == 1
+
+    def test_negative_seed_exit_2(self, capsys):
+        assert main(["mixed-check", "--random", "--m", "2", "--trials", "2", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be a non-negative integer, got -1\n"
 
     @pytest.mark.parametrize("m", ["6", "7"])
     def test_random_total_info_only(self, m, capsys):
@@ -763,6 +776,19 @@ class TestEntry:
         assert exc.value.code == 0 and calls == [1]
         assert main(["report", "--state", "ghz:2"]) == 0
         assert calls == [1]
+
+    def test_module_run_as_main_sets_one_blas_thread(self, monkeypatch, capsys):
+        # python -m mqinfo.cli launches as the console script does; the
+        # module leaves sys.modules for the run, as runpy warns of a module
+        # run as __main__ that is already imported
+        calls = []
+        monkeypatch.setattr(reduction, "_openblas", lambda: (None, calls.append))
+        monkeypatch.setattr(sys, "argv", ["mqinfo", "report", "--state", "ghz:2"])
+        monkeypatch.delitem(sys.modules, "mqinfo.cli")
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("mqinfo.cli", run_name="__main__")
+        assert exc.value.code == 0 and calls == [1]
+        assert capsys.readouterr().out.startswith("state")
 
     def test_console_script_leaves_blas_on_one_thread(self):
         # OpenBLAS at two threads, as its default is on a 2-CPU host

@@ -14,6 +14,7 @@ from mqinfo.identities import (
     MIXED_IDENTITIES,
     MIXED_PAIR_TOL,
     _chunk,
+    applicable,
     check,
     derive_seed,
 )
@@ -567,8 +568,35 @@ class TestFuzzDriver:
         assert np.array_equal(summary.pop("worst_state").amplitudes, plain.pop("worst_state").amplitudes)
         assert summary == plain
 
+    @pytest.mark.parametrize("seed", [1.5, "3", None, True, -1])
+    def test_bad_seed_rejected(self, seed):
+        message = rf"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValueError, match=message):
+            mq.fuzz(["eq1b"], 3, 2, seed)
+        with pytest.raises(ValueError, match=message):
+            mq.fuzz(["eq24"], 2, 2, seed)
+
+    def test_numpy_integer_seed_is_reported_as_int(self):
+        [summary] = mq.fuzz(["eq1b"], 3, 4, np.int64(5))
+        assert type(summary["worst_seed"]) is int
+        assert summary["worst_seed"] == mq.fuzz(["eq1b"], 3, 4, 5)[0]["worst_seed"]
+
     def test_seeds_distinct_up_to_max_trials(self):
         assert derive_seed(0, MAX_TRIALS - 1) < derive_seed(1, 0)
+
+
+class TestErrorModel:
+    # the largest fuzz |residual| of eq1b, eq14 and eq20 grows as 2^n eps:
+    # 4.00-8.50 x 2^n eps on these trials at n = 2..12 (seeds 7, 11 and
+    # 12345 gave 4.00-10.62), which K = 32 leaves room for, while a pass
+    # whose rounding grows faster than 2^n fails it before the 1e-9 gate
+    K = 32
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_largest_residual_within_k_times_2_to_the_n_eps(self, n):
+        names = [name for name in applicable("pure", n) if name in ("eq1b", "eq14", "eq20")]
+        summaries = mq.fuzz(names, n, 64 if n <= 10 else 16, 2025)
+        assert max(s["max_residual"] for s in summaries) <= self.K * 2**n * np.finfo(float).eps
 
 
 class TestLibraryTolerance:

@@ -11,6 +11,7 @@ import pytest
 
 import mqinfo as mq
 from mqinfo import reduction
+from mqinfo.measures import info_values
 from mqinfo.reduction import pure_subset_purities, subset_purity
 from mqinfo.statekit import random_pure_stack
 
@@ -147,11 +148,11 @@ class TestPurityPlan:
     def test_bad_gather_index_raises_when_the_plan_is_built(self, bad, monkeypatch):
         block_index = reduction._block_index
 
-        def broken(n, axes):
+        def broken(n, masks):
             # the cols, one entry of the last top's: 2^n, a bit of the top's, or -1
-            index = block_index(n, axes)
-            if axes.shape[1] > n // 2:
-                top = min(set(range(n)) - set(axes[-1]))
+            index = block_index(n, masks)
+            if np.bitwise_count(masks[-1]) > n // 2:
+                top = int(~masks[-1] & masks[-1] + 1).bit_length() - 1  # q - 1 for the top's lowest qubit q
                 index[-1, -1] = {"out of range": 1 << n, "overlapping": index[-1, -1] | 1 << n - 1 - top, "negative": -1}[bad]
             return index
 
@@ -196,6 +197,88 @@ class TestPurityPlan:
                 keep = sorted(rng.choice(n, size=k, replace=False) + 1)
                 mask = sum(1 << (q - 1) for q in keep)
                 assert abs(purities[mask] - subset_purity(psi, keep)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 11])
+    def test_real_stack_gives_the_rows_of_its_complex_copy(self, n):
+        real = np.stack([_graph_state(n, _random_graph(n, seed)) for seed in range(3)])
+        assert real.dtype == np.float64
+        want = pure_subset_purities(real.astype(np.complex128))
+        assert pure_subset_purities(real).tobytes() == want.tobytes()
+        values, purities = info_values(real)
+        assert purities.tobytes() == want.tobytes()
+        assert values.tobytes() == info_values(real.astype(np.complex128))[0].tobytes()
+
+
+def _random_graph(n, seed):
+    """The edges (a, b), a < b, of an n-vertex graph holding each with probability 1/2."""
+    rng = np.random.default_rng(seed)
+    return [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if rng.random() < 0.5]
+
+
+def _graph_state(n, edges):
+    """The real amplitudes of |G> = prod CZ_ab |+>^n, qubit q being bit n-q
+    of an amplitude index: 2^(-n/2) (-1)^(edges within the ones of x)."""
+    x = np.arange(1 << n)
+    parity = np.zeros(1 << n, dtype=np.intp)
+    for a, b in edges:
+        parity ^= x >> n - a & x >> n - b & 1
+    return (1 - 2 * parity) / 2 ** (n / 2)
+
+
+def _cut_ranks(n, edges):
+    """The GF(2) rank of the adjacency block Gamma[S, S^c] for every subset
+    mask S, bit q-1 standing for qubit q; each row of the block a bitmask."""
+    adjacent = [0] * n
+    for a, b in edges:
+        adjacent[a - 1] |= 1 << b - 1
+        adjacent[b - 1] |= 1 << a - 1
+    ranks = np.zeros(1 << n)
+    for mask in range(1 << n):
+        rows = [adjacent[q] & ~mask for q in range(n) if mask >> q & 1]
+        while rows:
+            pivot = rows.pop()
+            if pivot:
+                ranks[mask] += 1
+                low = pivot & -pivot
+                rows = [row ^ pivot if row & low else row for row in rows]
+    return ranks
+
+
+class TestGraphStateOracle:
+    """A graph state's tr(rho_S^2) is 2^-r, r the GF(2) rank of Gamma[S, S^c]
+    (Hein, Eisert and Briegel, PRA 69, 062311 (2004)): every subset of every
+    size, checked apart from the pass, at the sizes where the plan's batches
+    and workers change."""
+
+    @pytest.mark.parametrize(("n", "seed"), [(8, 0), (8, 1), (10, 2), (10, 3), (12, 4), (12, 5), (13, 6), (14, 7)])
+    def test_random_graph(self, n, seed, one_blas_thread):
+        edges = _random_graph(n, seed)
+        purities = pure_subset_purities(_graph_state(n, edges)[None])[0]
+        assert np.max(np.abs(purities - 2.0 ** -_cut_ranks(n, edges))) <= 1e-12
+
+    def test_disconnected_graph(self):
+        # components {1, 3, 5, 7} and {2, 4, 6, 8, 9}, and qubit 10 alone:
+        # a cut along the components leaves a pure reduced state
+        n = 10
+        edges = [(1, 3), (3, 5), (5, 7), (1, 7), (2, 4), (4, 6), (6, 8), (8, 9), (2, 9), (4, 9)]
+        purities = pure_subset_purities(_graph_state(n, edges)[None])[0]
+        assert np.max(np.abs(purities - 2.0 ** -_cut_ranks(n, edges))) <= 1e-12
+        for part in ((1, 3, 5, 7), (2, 4, 6, 8, 9), (10,), (1, 3, 5, 7, 10)):
+            assert abs(purities[sum(1 << q - 1 for q in part)] - 1) <= 1e-12
+        assert abs(purities[0b11] - 0.25) <= 1e-12
+
+    def test_local_unitaries_leave_every_purity(self):
+        n = 12
+        edges = _random_graph(n, 8)
+        state = _graph_state(n, edges)
+        rng = np.random.default_rng(n)
+        turned = state.reshape((2,) * n).astype(np.complex128)
+        for axis in range(n):
+            u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            turned = np.moveaxis(np.tensordot(u, turned, axes=(1, axis)), 0, axis)
+        before, after = pure_subset_purities(np.stack([state, turned.reshape(-1)]))
+        assert np.max(np.abs(after - before)) <= 1e-12
+        assert np.max(np.abs(after - 2.0 ** -_cut_ranks(n, edges))) <= 1e-12
 
 
 def _pass_peak_and_bound(n, count, monkeypatch, small_buffers=False):
