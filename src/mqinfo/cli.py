@@ -7,8 +7,9 @@ Subcommands:
   bench        time the fast route against the enumeration oracle
 
 Which identities run for a qubit count comes from the registry in
-``identities``.  report and ``mixed-check --rho`` build their reports in one
-loop of ``identities.check`` calls; fuzz and ``mixed-check --random`` share
+``identities``.  report and ``mixed-check --rho`` build their reports with
+one ``identities._reports`` call, which evaluates each applicable row once
+over all of its cases; fuzz and ``mixed-check --random`` share
 one fuzz call, one witness step and one summary format.  report's output is
 byte-stable: its json is what ``json.dumps(obj, sort_keys=True)`` writes, and a
 table value's "(= p/q)" hint is ``Fraction(v).limit_denominator(512)`` when
@@ -27,7 +28,15 @@ from functools import cache
 
 import numpy as np
 
-from .identities import EQ_TOL, IDENTITIES, PURE_IDENTITIES, _check_tol, applicable, check, fuzz
+from .identities import (
+    EQ_TOL,
+    IDENTITIES,
+    PURE_IDENTITIES,
+    _check_tol,
+    _reports,
+    applicable,
+    fuzz,
+)
 from .measures import (
     _io_order,
     _subset_to_mask,
@@ -99,16 +108,6 @@ def _save_witness(summary, out, several):
         path = out
     save_state(summary["worst_state"], path)
     summary["witness_path"] = path
-
-
-def _reports(kind, state, table, tol):
-    """Every report of the applicable ``kind`` identities: one ``check`` call each."""
-    n = state.num_qubits
-    return [
-        check(name, state, table, tol, **case)
-        for name in applicable(kind, n)
-        for case in IDENTITIES[name].cases(n)
-    ]
 
 
 def _frac_hints(x):
@@ -293,6 +292,8 @@ def cmd_bench(args):
     oracle's one call, against the first call."""
     from .statekit import random_pure
 
+    if args.seed < 0:  # numpy's own error would not name the option
+        raise ValueError(f"seed must be a non-negative integer, got {args.seed}")
     psi = random_pure(args.n, args.seed)
     t0 = time.perf_counter()
     fast = all_infos_fast(psi)

@@ -6,10 +6,14 @@ matrices.  Each row describes its relation once (see ``Identity``): kind,
 qubit counts, report label, cases, extra context, and the array function
 and verdict that check a stack of states.  report, fuzz and mixed-check take
 what they run from ``applicable``.  One private step, ``_evaluate``, checks
-every relation on a stack of states; ``_check`` validates one state's case
-and evaluates it.  ``check`` and each ``residual_*`` checker are one
-``_check`` call, so each report is one public call, as mqbench's span
-tracer counts one check per report a public function returns.  ``fuzz``
+every relation on a stack of states.  ``_check`` validates one state's
+case and evaluates it; ``_reports``, which report and ``mixed-check --rho``
+call, evaluates each applicable row once over all of its cases, which the
+registry made and which are not validated again.  Both read their reports
+from one state's columns with ``_row``.  ``check`` and each ``residual_*``
+checker are one ``_check`` call, and ``_reports`` returns each report from
+one ``case_report`` call, so each report is one public call, as mqbench's
+span tracer counts one check per report a public function returns.  ``fuzz``
 draws one seeded random state per trial, in chunks, one chunk path for both
 kinds: a chunk is an array, an amplitude stack (pure) or a matrix stack
 (mixed), its tables come from one ``info_values`` or ``spectrum_values``
@@ -411,25 +415,74 @@ def _check(name, state, table, tol, **case):
         if len(pair) != 2:
             raise ValueError(f"bad pair {tuple(given) if np.iterable(given) else given} for n={n}")
         case["pair"] = list(pair)
-    if ident.kind == "pure":
-        table = table if table is not None else all_infos_fast(state)
-        if table.num_qubits != n:
-            raise ValueError(f"table of {table.num_qubits} qubits for a state of {n}")
-        amps = state.amplitudes[None]
-        purities = table.purities
-        if purities is None:  # an oracle table carries none
-            purities = pure_subset_purities(amps)[0]
-        arrays = table.values[None], purities[None], amps
-        context = {"n": n}
-    else:
-        arrays = spectrum_values(state.matrix[None])
-        context = {"m": n}
-    lhs, rhs, _, margin, failed, gate = _evaluate(ident, arrays, [case], tol)
-    context.update(case, **ident.context(state))
+    (fields,) = _row(ident, state, *_state_arrays(state, table), [case], tol)
+    return _report(*fields)
+
+
+def _state_arrays(state, table):
+    """One state's ``_evaluate`` arrays, each a stack of one, and the context
+    every report of it starts with: ``{"n": n}`` or ``{"m": m}``.
+
+    ``table``, a pure state's InfoTable of n qubits, is computed when None
+    and ignored for a density matrix.
+    """
+    n = state.num_qubits
+    if isinstance(state, MixedState):
+        return spectrum_values(state.matrix[None]), {"m": n}
+    table = table if table is not None else all_infos_fast(state)
+    if table.num_qubits != n:
+        raise ValueError(f"table of {table.num_qubits} qubits for a state of {n}")
+    amps = state.amplitudes[None]
+    purities = table.purities
+    if purities is None:  # an oracle table carries none
+        purities = pure_subset_purities(amps)[0]
+    return (table.values[None], purities[None], amps), {"n": n}
+
+
+def _row(ident, state, arrays, size, cases, tol):
+    """Row ``ident`` on one state over ``cases``, by one ``_evaluate`` call:
+    per case, its report's (label, lhs, rhs, gate, failed, context).
+
+    A case's context is ``size``, the case, the row's own context and any
+    ``margin``, in that order.
+    """
+    lhs, rhs, _, margin, failed, gate = _evaluate(ident, arrays, cases, tol)
+    own = ident.context(state)
+    contexts = [{**size, **case, **own} for case in cases]
     if margin is not None:
-        context["margin"] = float(margin[0, 0])
-    lhs, rhs = float(lhs[0, 0]), float(rhs[0, 0])
-    return IdentityReport(ident.label, lhs, rhs, lhs - rhs, gate, not failed[0, 0], context)
+        for context, value in zip(contexts, margin[0].tolist()):
+            context["margin"] = value
+    columns = lhs[0].tolist(), rhs[0].tolist(), failed[0].tolist(), contexts
+    return [(ident.label, l, r, gate, f, c) for l, r, f, c in zip(*columns)]
+
+
+def _report(label, lhs, rhs, gate, failed, context):
+    return IdentityReport(label, lhs, rhs, lhs - rhs, gate, not failed, context)
+
+
+def case_report(label, lhs, rhs, gate, failed, context):
+    """The IdentityReport of one case of a row that ``_reports`` evaluated.
+
+    ``_reports`` takes each of its reports through this one public call, and
+    ``_check`` through ``_report``, so mqbench's tracer, which counts one
+    identity check per IdentityReport a public function returns, counts
+    each report once.
+    """
+    return _report(label, lhs, rhs, gate, failed, context)
+
+
+def _reports(kind, state, table, tol):
+    """Every report of the applicable ``kind`` identities on one state, in
+    registry and case order: one ``_evaluate`` call per row, over all of its
+    cases.  The cases are the registry's own, so none is validated again;
+    ``table`` is as ``check`` takes it, and ``tol`` a checked tolerance."""
+    n = state.num_qubits
+    arrays, size = _state_arrays(state, table)
+    return [
+        case_report(*fields)
+        for ident in map(IDENTITIES.__getitem__, applicable(kind, n))
+        for fields in _row(ident, state, arrays, size, ident.cases(n), tol)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -281,8 +281,9 @@ def pure_subset_purities(amps):
     sums are one (subset, state) array, the plan's ``masks`` by the stack,
     in the same workspace; each batch writes its subsets' rows for its
     pass's states in place, and one scatter puts every sum at its mask and
-    its complement's.  Every row equals the one-state result bit for bit,
-    whatever W.
+    its complement's.  At a fixed number of BLAS threads, every row equals
+    the one-state result bit for bit, whatever W; on another BLAS thread
+    count the grams round differently (at n = 14, in the last digits).
     """
     amps = np.asarray(amps, dtype=np.complex128)
     count, dim = amps.shape

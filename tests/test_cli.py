@@ -755,6 +755,12 @@ class TestBench:
     def test_degenerate_single_qubit(self, capsys):
         assert main(["bench", "--n", "1"]) == 0
 
+    def test_negative_seed_exit_2(self, capsys):
+        assert main(["bench", "--n", "3", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+
     def test_large_skips_enumeration(self, capsys):
         assert main(["bench", "--n", "8"]) == 0
         assert "skipped (n > 7)" in capsys.readouterr().out

@@ -9,6 +9,7 @@ import pytest
 import mqinfo as mq
 from mqinfo import identities, statekit
 from mqinfo.identities import (
+    EQ_TOL,
     IDENTITIES,
     MAX_TRIALS,
     MIXED_IDENTITIES,
@@ -345,6 +346,24 @@ def _state(kind, n, seed, rank=1):
     return mq.random_pure(n, seed) if kind == "pure" else mq.random_mixed(n, rank, seed)
 
 
+def _typed(value):
+    """``value`` with every leaf paired with its type, so that equal values
+    of other types (1 and np.int64(1), 1.0 and np.float64(1.0)) differ."""
+    if isinstance(value, dict):
+        return {k: _typed(v) for k, v in value.items()}, list(value)
+    if isinstance(value, list):
+        return [_typed(v) for v in value]
+    return value, type(value)
+
+
+def _leaves(value):
+    if isinstance(value, (dict, list)):
+        for v in value.values() if isinstance(value, dict) else value:
+            yield from _leaves(v)
+    else:
+        yield value
+
+
 class TestRegistryRows:
     @pytest.mark.parametrize("tol", [1e-9, 1e-30])
     @pytest.mark.parametrize(
@@ -364,6 +383,32 @@ class TestRegistryRows:
                     rep = check(name, state, tol=tol, **case)
                     assert rep == PUBLIC[name](state, tol, **case)
                     assert (rep.lhs, rep.rhs) == (lhs[row, col], rhs[row, col])
+
+    @pytest.mark.parametrize("tol", [EQ_TOL, 0.0])
+    @pytest.mark.parametrize(
+        "kind, n", [("pure", n) for n in range(1, 13)] + [("mixed", m) for m in range(1, 8)]
+    )
+    def test_reports_equal_one_check_per_case(self, kind, n, tol):
+        # report and mixed-check --rho evaluate each row once over its cases;
+        # every field, and every context value's type, is one check call's
+        if kind == "pure":
+            named = [mq.make_named(f, n) for f in ("ghz", "w") if n >= 2]
+            states = [*named, mq.make_named("basis-product", n), *(mq.random_pure(n, s) for s in (1, 2))]
+        else:
+            flat = mq.MixedState(n, np.eye(2**n, dtype=np.complex128) / 2**n)
+            states = [mq.random_mixed(n, 1, 3), mq.random_mixed(n, 2**n, 4), flat]
+        for state in states:
+            table = mq.all_infos_fast(state) if kind == "pure" else None
+            want = [
+                check(name, state, table, tol, **case)
+                for name in applicable(kind, n)
+                for case in IDENTITIES[name].cases(n)
+            ]
+            got = identities._reports(kind, state, table, tol)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert _typed(vars(a)) == _typed(vars(b))
+                assert {type(v) for v in _leaves(vars(a))} <= {str, float, bool, int}
 
     @pytest.mark.parametrize("name", list(IDENTITIES))
     def test_case_with_other_keys(self, name):

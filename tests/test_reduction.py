@@ -1,5 +1,6 @@
 import functools
 import inspect
+import math
 import os
 import subprocess
 import sys
@@ -279,6 +280,32 @@ class TestGraphStateOracle:
         before, after = pure_subset_purities(np.stack([state, turned.reshape(-1)]))
         assert np.max(np.abs(after - before)) <= 1e-12
         assert np.max(np.abs(after - 2.0 ** -_cut_ranks(n, edges))) <= 1e-12
+
+
+def _dicke_state(n, k):
+    """|D_n^k>: the equal superposition of the C(n, k) basis states of weight k."""
+    weights = np.array([mask.bit_count() for mask in range(1 << n)])
+    return (weights == k) / math.sqrt(math.comb(n, k))
+
+
+class TestDickeStateOracle:
+    """|D_n^k> has Schmidt weights C(s,l) C(n-s,k-l) / C(n,k) across a cut of s
+    qubits, so tr(rho_S^2) is the sum of their squares: it depends on |S|
+    alone, so it checks every level of the pass, where graph states check
+    its indexing.  k = 1 is the W state."""
+
+    @pytest.mark.parametrize(
+        ("n", "k"), [(n, k) for n in range(1, 13) for k in sorted({1, max(1, n // 2)})] + [(14, 7)]
+    )
+    def test_purities_by_subset_size(self, n, k, one_blas_thread):
+        purities = pure_subset_purities(_dicke_state(n, k)[None])[0]
+        weight = [
+            [math.comb(s, l) * math.comb(n - s, k - l) / math.comb(n, k) for l in range(k + 1)]
+            for s in range(n + 1)
+        ]
+        by_size = np.array([sum(w * w for w in row) for row in weight])
+        sizes = np.array([mask.bit_count() for mask in range(1 << n)])
+        assert np.max(np.abs(purities - by_size[sizes])) <= 1e-12
 
 
 def _pass_peak_and_bound(n, count, monkeypatch, small_buffers=False):
